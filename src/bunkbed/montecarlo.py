@@ -6,6 +6,13 @@ are split into fixed-size shards; shard b draws from the stream keyed by
 byte-identical for every worker count.  An edge is open iff its raw
 64-bit draw falls below ceil(p * 2^64), the exact integer threshold of
 the rational p, so no double rounding is involved.
+
+Each shard runs bit-parallel: column j of its open-bit matrix becomes
+one Python int lane with bit i = sample i, and pinned posts get the
+all-ones lane.  Reachability starts as all ones at u0 and spreads as
+(reach[a] | reach[b]) & lane over every edge until a sweep changes
+nothing; the popcounts of reach[v0], reach[v1] and their xor are the
+shard's same-level, cross-level and squared-difference totals.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .graphs import Multigraph, Vertex
-from .polynomials import format_fraction
 
 GENERATOR = "philox4x64-raw"
 SHARD_SAMPLES = 1 << 14
@@ -153,9 +159,6 @@ def estimate_difference(
     u0 = index[(u, 0)]
     v0 = index[(v, 0)]
     v1 = index[(v, 1)]
-    base_parent = list(range(num_vertices))
-    for a, b in base_pairs:
-        base_parent[b] = base_parent[a]
 
     shards = range((samples + SHARD_SAMPLES - 1) // SHARD_SAMPLES)
 
@@ -163,35 +166,31 @@ def estimate_difference(
         start = shard * SHARD_SAMPLES
         count = min(SHARD_SAMPLES, samples - start)
         bits = _shard_bits(seed, shard, count, max(1, columns), threshold)
-        same = cross = diff = diff_sq = 0
-        pairs = random_pairs
-        for row in bits:
-            parent = list(base_parent)
-            for j in np.flatnonzero(row[:columns]):
-                a, b = pairs[j]
-                while parent[a] != a:
-                    a = parent[a]
-                while parent[b] != b:
-                    b = parent[b]
-                if a != b:
-                    parent[b] = a
-            x = u0
-            while parent[x] != x:
-                x = parent[x]
-            y = v0
-            while parent[y] != y:
-                y = parent[y]
-            z = v1
-            while parent[z] != z:
-                z = parent[z]
-            s = int(x == y)
-            c = int(x == z)
-            same += s
-            cross += c
-            d = s - c
-            diff += d
-            diff_sq += d * d
-        return same, cross, diff, diff_sq
+        # packbits zero-fills the last byte, so bits at or past `count`
+        # are closed in every lane and never reached.
+        packed = np.packbits(bits[:, :columns].T, axis=1, bitorder="little")
+        full = (1 << count) - 1
+        edges = [
+            (a, b, int.from_bytes(lane.tobytes(), "little"))
+            for (a, b), lane in zip(random_pairs, packed)
+        ]
+        edges += [(a, b, full) for a, b in base_pairs]
+        reach = [0] * num_vertices
+        reach[u0] = full
+        changed = True
+        while changed:
+            changed = False
+            for a, b, lane in edges:
+                ra, rb = reach[a], reach[b]
+                both = (ra | rb) & lane
+                if both & ~(ra & rb):
+                    reach[a] = ra | both
+                    reach[b] = rb | both
+                    changed = True
+        same_lane, cross_lane = reach[v0], reach[v1]
+        same = same_lane.bit_count()
+        cross = cross_lane.bit_count()
+        return same, cross, same - cross, (same_lane ^ cross_lane).bit_count()
 
     totals = [0, 0, 0, 0]
     if workers > 1:

@@ -5,10 +5,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bunkbed import (
+    DifferenceEstimates,
     Estimate,
+    Multigraph,
     agreement_check,
     bunkbed_vertex,
     difference_polynomial,
@@ -20,6 +25,131 @@ from bunkbed import (
     sample_bunkbed,
     vertical_edge_id,
 )
+from bunkbed.montecarlo import (
+    SHARD_SAMPLES,
+    _estimate,
+    _sampling_plan,
+    _shard_bits,
+    _threshold,
+)
+from conftest import FAMILY_TEXT, SIX_VERTEX_TEXT
+
+
+def reference_estimate(g, u, v, p, samples, seed, pinned=None) -> DifferenceEstimates:
+    """Per-sample union-find over the same shards and Philox streams.
+
+    This is the estimator the bit-lane spreading replaced.  It reuses the
+    library's sampling plan, Philox shards, threshold and moment formula,
+    so only the reachability step differs and the results must be equal.
+    """
+    index, random_pairs, _, base_pairs = _sampling_plan(g, pinned)
+    threshold = _threshold(p)
+    columns = len(random_pairs)
+    u0, v0, v1 = index[(u, 0)], index[(v, 0)], index[(v, 1)]
+    base_parent = list(range(2 * g.vertex_count))
+    for a, b in base_pairs:
+        base_parent[b] = base_parent[a]
+
+    def root(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    same = cross = diff = diff_sq = 0
+    for shard in range((samples + SHARD_SAMPLES - 1) // SHARD_SAMPLES):
+        count = min(SHARD_SAMPLES, samples - shard * SHARD_SAMPLES)
+        bits = _shard_bits(seed, shard, count, max(1, columns), threshold)
+        for row in bits:
+            parent = list(base_parent)
+            for j in np.flatnonzero(row[:columns]):
+                a, b = random_pairs[j]
+                a, b = root(parent, a), root(parent, b)
+                if a != b:
+                    parent[b] = a
+            x = root(parent, u0)
+            s = int(x == root(parent, v0))
+            c = int(x == root(parent, v1))
+            same += s
+            cross += c
+            diff += s - c
+            diff_sq += (s - c) ** 2
+    return _from_totals((same, cross, diff, diff_sq), samples, seed)
+
+
+def _from_totals(totals, samples, seed) -> DifferenceEstimates:
+    same, cross, diff, diff_sq = totals
+    return DifferenceEstimates(
+        same_level=_estimate(same, same, samples, seed),
+        cross_level=_estimate(cross, cross, samples, seed),
+        difference=_estimate(diff, diff_sq, samples, seed),
+    )
+
+
+ORACLE_GRAPHS = {**FAMILY_TEXT, "six_vertex": SIX_VERTEX_TEXT}
+P_VALUES = (Fraction(0), Fraction(1, 4), Fraction(7, 8), Fraction(1))
+# Partial bytes, exact and partial 64-bit words, one full shard, a
+# one-sample second shard, and three full shards plus a partial one.
+SAMPLE_COUNTS = (1, 63, 64, 65, 16384, 16385, 50_000)
+SIX_PINNED = frozenset({"b", "e"})
+
+
+def _pinned_sets(g):
+    some = SIX_PINNED if SIX_PINNED <= set(g.vertices) else g.vertices[1::2]
+    return (None, frozenset(), frozenset(some), frozenset(g.vertices))
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_graph_family(self, name):
+        g = parse_edge_list(ORACLE_GRAPHS[name])
+        u, v = g.vertices[0], g.vertices[-1]
+        if name == "six_vertex":
+            u, v = "u", "v"
+        for pinned in _pinned_sets(g):
+            for p in P_VALUES:
+                got = estimate_difference(g, u, v, p, 300, 5, pinned)
+                assert got == reference_estimate(g, u, v, p, 300, 5, pinned), (
+                    pinned, p)
+
+    @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+    def test_sample_counts_on_six_vertex(self, six_vertex, samples):
+        for pinned, p in [(SIX_PINNED, q) for q in P_VALUES] + [(None, Fraction(1, 2))]:
+            got = estimate_difference(six_vertex, "u", "v", p, samples, 21, pinned)
+            want = reference_estimate(six_vertex, "u", "v", p, samples, 21, pinned)
+            assert got == want, (pinned, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_multigraphs(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=4), label="n")
+        vertices = tuple(f"x{i}" for i in range(n))
+        ends = st.sampled_from(vertices)
+        pairs = data.draw(st.lists(st.tuples(ends, ends), max_size=5), label="edges")
+        g = Multigraph(vertices, tuple((i, a, b) for i, (a, b) in enumerate(pairs)))
+        u, v = data.draw(ends, label="u"), data.draw(ends, label="v")
+        pinned = data.draw(st.none() | st.frozensets(ends), label="pinned")
+        p = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=8), label="p")
+        samples = data.draw(st.integers(min_value=1, max_value=200), label="samples")
+        seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1), label="seed")
+        got = estimate_difference(g, u, v, p, samples, seed, pinned)
+        assert got == reference_estimate(g, u, v, p, samples, seed, pinned)
+
+
+class TestGoldenTotals:
+    """same/cross/diff/diff_sq on the six-vertex graph at p = 7/8 with
+    200,000 samples and posts b, e pinned (the benchmark's mc-six call),
+    as the union-find estimator computed them.  They pin the Philox
+    stream, the shard layout and the bit -> edge column order."""
+
+    @pytest.mark.parametrize(
+        "seed, totals",
+        [(3, (190760, 190930, -170, 11248)), (11, (190768, 190827, -59, 11245))],
+    )
+    def test_six_vertex_pinned_posts(self, six_vertex, seed, totals):
+        got = estimate_difference(
+            six_vertex, "u", "v", Fraction(7, 8), 200_000, seed, SIX_PINNED
+        )
+        assert got == _from_totals(totals, 200_000, seed)
 
 
 class TestSampleConfigurations:
@@ -103,11 +233,33 @@ class TestAgreement:
 
 class TestEstimates:
     def test_same_vertex_is_certain(self, k2):
-        est = estimate_difference(
-            k2, "u", "u", Fraction(1, 3), 4096, 3, frozenset({"u"})
-        )
-        assert est.same_level.mean == 1.0
-        assert est.same_level.stderr == 0.0
+        for pinned in (None, frozenset(), frozenset({"u"})):
+            for samples in (1, 65, 4096, 16385):
+                est = estimate_difference(
+                    k2, "u", "u", Fraction(1, 3), samples, 3, pinned
+                )
+                assert est.same_level.mean == 1.0
+                assert est.same_level.stderr == 0.0
+                assert est == reference_estimate(
+                    k2, "u", "u", Fraction(1, 3), samples, 3, pinned
+                )
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("samples", [1, 65, 16385])
+    def test_no_random_columns(self, p, samples):
+        # With no edges and fixed posts nothing is sampled; the single
+        # padding column drawn per shard must not open anything.
+        g = Multigraph(("x", "y"), ())
+        for u, v, pinned, same, cross in [
+            ("x", "y", frozenset({"x", "y"}), 0, 0),
+            ("x", "x", frozenset(), samples, 0),
+            ("x", "x", frozenset({"x"}), samples, samples),
+        ]:
+            est = estimate_difference(g, u, v, p, samples, 8, pinned)
+            diff = same - cross
+            assert est == _from_totals((same, cross, diff, abs(diff)), samples, 8)
+            assert est == reference_estimate(g, u, v, p, samples, 8, pinned)
+            assert est.difference.stderr == 0.0
 
     def test_pairing_does_not_hurt_precision(self, k2):
         est = estimate_difference(k2, "u", "v", Fraction(1, 2), 100_000, 7, None)
