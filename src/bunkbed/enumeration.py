@@ -7,6 +7,18 @@ copy / the upper copy).  For each query, a conjunction of vertex pairs,
 the kernel counts satisfying configurations bucketed by the number of
 1-bits.  Those integer buckets are the whole interface: they are order
 independent, so worker partitioning cannot change the result.
+
+The kernel is bit-sliced.  The first L = min(k, 16) items become lanes
+of 2^L bits, bit x standing for the configuration whose low L item bits
+spell x: an edge chosen by bit 1 of item i is open on the lane "bit i of
+x is 1", an edge chosen by bit 0 on its complement.  The other k - L
+items are fixed per prefix shard, one shard for each of their 2^(k-L)
+settings, and their chosen edges are open on every bit.  Within a shard,
+reachability from each query source spreads as (reach[a] | reach[b]) &
+lane until a sweep changes nothing; a query's lane is the AND of its
+pairs' reach lanes, and its count in bucket h + j is the popcount of
+that lane restricted to the bits x with j ones, h being the number of
+ones in the shard's prefix.
 """
 
 from __future__ import annotations
@@ -31,141 +43,50 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-# Subtrees smaller than this are cheaper to walk than to test for
-# feasibility; prefix depth used to shard work across workers.
-_FEASIBILITY_MIN_REMAINING = 8
-_SPLIT_BITS = 6
+# Items enumerated inside one lane; a lane is a 2^16-bit (8 KB) integer.
+_LANE_BITS = 16
 
 
 class CapExceededError(RuntimeError):
     """Requested enumeration exceeds a configured cap."""
 
 
-def _find(parent: list[int], x: int) -> int:
-    while True:
-        p = parent[x]
-        if p == x:
-            return x
-        x = p
+def _spread(reach: list[int], edges) -> None:
+    """Grow reach in place over (a, b, lane) edges until a sweep changes nothing.
+
+    reach[x] has bit i set when x is reached in configuration i; an edge
+    is open in the configurations whose bits its lane has set.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for a, b, lane in edges:
+            ra, rb = reach[a], reach[b]
+            both = (ra | rb) & lane
+            if both & ~(ra & rb):
+                reach[a] = ra | both
+                reach[b] = rb | both
+                changed = True
 
 
-def _union_all(parent: list[int], pairs) -> None:
-    for a, b in pairs:
-        ra = _find(parent, a)
-        rb = _find(parent, b)
-        if ra != rb:
-            parent[rb] = ra
-
-
-def _satisfied(parent: list[int], query: Query) -> bool:
-    for a, b in query:
-        if _find(parent, a) != _find(parent, b):
-            return False
-    return True
-
-
-def _pascal_rows(k: int) -> list[list[int]]:
-    rows = [[1]]
-    for _ in range(k):
-        prev = rows[-1]
-        rows.append([1] + [prev[j] + prev[j + 1] for j in range(len(prev) - 1)] + [1])
-    return rows
-
-
-def _suffix_pairs(items: list[ChoiceItem]) -> list[tuple[Pair, ...]]:
-    """suffix_pairs[i] = every pair any item at index >= i could open."""
-    out: list[tuple[Pair, ...]] = [()] * (len(items) + 1)
-    acc: list[Pair] = []
-    for i in range(len(items) - 1, -1, -1):
-        e0, e1 = items[i]
-        acc = list(e0) + list(e1) + acc
-        out[i] = tuple(acc)
+def _item_lanes(lanes: int, full: int) -> list[int]:
+    """Lane i has bit x set iff bit i of x is 1."""
+    out = []
+    for i in range(lanes):
+        half = 1 << i
+        # full // (2^(2 half) - 1) has one bit at the start of every
+        # period of 2 half bits; the block fills that period's upper half.
+        block = ((1 << half) - 1) << half
+        out.append(full // ((1 << 2 * half) - 1) * block)
     return out
 
 
-def _run_shared(
-    items: list[ChoiceItem],
-    queries: list[Query],
-    pascal: list[list[int]],
-    suffix: list[tuple[Pair, ...]],
-    start_parent: list[int],
-    start_idx: int,
-    start_ones: int,
-) -> list[list[int]]:
-    """Prefix-sharing DFS over configurations.
-
-    Union-find state is copied only when a branch adds edges, so common
-    prefixes share their union work.  A query already satisfied at a node
-    holds in the whole subtree (edges are only ever added), so the
-    subtree is credited with a binomial row at once; a query that fails
-    even with every remaining edge present is dropped without credit.
-    """
-    k = len(items)
-    counts = [[0] * (k + 1) for _ in queries]
-
-    def recurse(parent: list[int], idx: int, ones: int, active: int) -> None:
-        rem = k - idx
-        m = active
-        while m:
-            low = m & (-m)
-            qi = low.bit_length() - 1
-            if _satisfied(parent, queries[qi]):
-                row = pascal[rem]
-                cq = counts[qi]
-                for offset in range(rem + 1):
-                    cq[ones + offset] += row[offset]
-                active &= ~low
-            m ^= low
-        if not active or idx == k:
-            return
-        if rem >= _FEASIBILITY_MIN_REMAINING:
-            optimistic = list(parent)
-            _union_all(optimistic, suffix[idx])
-            m = active
-            while m:
-                low = m & (-m)
-                qi = low.bit_length() - 1
-                if not _satisfied(optimistic, queries[qi]):
-                    active &= ~low
-                m ^= low
-            if not active:
-                return
-        edges0, edges1 = items[idx]
-        for bit, edges in ((0, edges0), (1, edges1)):
-            if edges:
-                child = list(parent)
-                _union_all(child, edges)
-                recurse(child, idx + 1, ones + bit, active)
-            else:
-                recurse(parent, idx + 1, ones + bit, active)
-
-    recurse(list(start_parent), start_idx, start_ones, (1 << len(queries)) - 1)
-    return counts
-
-
-def _run_scratch(
-    items: list[ChoiceItem],
-    queries: list[Query],
-    base_parent: list[int],
-) -> list[list[int]]:
-    """Plain counter loop rebuilding union-find per configuration."""
-    k = len(items)
-    counts = [[0] * (k + 1) for _ in queries]
-    for mask in range(1 << k):
-        parent = list(base_parent)
-        for i, (edges0, edges1) in enumerate(items):
-            _union_all(parent, edges1 if (mask >> i) & 1 else edges0)
-        ones = mask.bit_count()
-        for qi, query in enumerate(queries):
-            if _satisfied(parent, query):
-                counts[qi][ones] += 1
-    return counts
-
-
-def _merge(into: list[list[int]], part: list[list[int]]) -> None:
-    for row, extra in zip(into, part):
-        for i, value in enumerate(extra):
-            row[i] += value
+def _weight_masks(lanes: int) -> list[int]:
+    """Mask j has bit x set iff x has exactly j ones, for x < 2^lanes."""
+    masks = [1]
+    for i in range(lanes):
+        masks = [low | (high << (1 << i)) for low, high in zip(masks + [0], [0] + masks)]
+    return masks
 
 
 def connection_counts(
@@ -175,44 +96,56 @@ def connection_counts(
     queries,
     *,
     workers: int = 1,
-    strategy: str = "shared",
 ) -> list[list[int]]:
     """Count configurations satisfying each query, bucketed by 1-bits.
 
     base_pairs are edges present in every configuration.  Returns one
     list of k+1 integers per query; entry j counts configurations with
     exactly j items set to 1 in which all of the query's vertex pairs
-    are connected.  Totals are identical for every worker count and for
-    both strategies.
+    are connected.  Totals are identical for every worker count.
     """
     items = [tuple(map(tuple, item)) for item in items]
     queries = [tuple(query) for query in queries]
     k = len(items)
-    base_parent = list(range(num_vertices))
-    _union_all(base_parent, base_pairs)
+    lanes = min(k, _LANE_BITS)
+    full = (1 << (1 << lanes)) - 1
+    weights = _weight_masks(lanes)
 
-    if strategy == "scratch":
-        return _run_scratch(items, queries, base_parent)
-    if strategy != "shared":
-        raise ValueError(f"unknown strategy {strategy!r}")
+    lane_edges = [(a, b, full) for a, b in base_pairs]
+    for (edges0, edges1), ones in zip(items, _item_lanes(lanes, full)):
+        lane_edges += [(a, b, full ^ ones) for a, b in edges0]
+        lane_edges += [(a, b, ones) for a, b in edges1]
+    fixed = items[lanes:]
+    sources = sorted({a for query in queries for a, _ in query})
 
-    pascal = _pascal_rows(k)
-    suffix = _suffix_pairs(items)
-    split = min(k, _SPLIT_BITS) if workers > 1 else 0
-    if split == 0:
-        return _run_shared(items, queries, pascal, suffix, base_parent, 0, 0)
+    def shard(prefix: int) -> list[list[int]]:
+        edges = list(lane_edges)
+        for i, item in enumerate(fixed):
+            edges += [(a, b, full) for a, b in item[(prefix >> i) & 1]]
+        reach = {}
+        for s in sources:
+            reach[s] = [0] * num_vertices
+            reach[s][s] = full
+            _spread(reach[s], edges)
+        rows = []
+        for query in queries:
+            sat = full
+            for a, b in query:
+                sat &= reach[a][b]
+            rows.append([(sat & mask).bit_count() for mask in weights])
+        return rows
 
-    def subtree(prefix: int) -> list[list[int]]:
-        parent = list(base_parent)
-        ones = 0
-        for i in range(split):
-            bit = (prefix >> i) & 1
-            ones += bit
-            _union_all(parent, items[i][bit])
-        return _run_shared(items, queries, pascal, suffix, parent, split, ones)
+    prefixes = range(1 << (k - lanes))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(shard, prefixes))
+    else:
+        parts = [shard(prefix) for prefix in prefixes]
 
     counts = [[0] * (k + 1) for _ in queries]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(subtree, range(1 << split)):
-            _merge(counts, part)
+    for prefix, part in zip(prefixes, parts):
+        h = prefix.bit_count()
+        for row, extra in zip(counts, part):
+            for j, value in enumerate(extra):
+                row[h + j] += value
     return counts

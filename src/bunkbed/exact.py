@@ -113,46 +113,12 @@ def _check_cap(bits: int, caps: Caps) -> None:
         )
 
 
-def _distance_order(g: Multigraph, arena: _Arena, anchors: Sequence[BunkbedVertex]) -> list[int]:
-    """Process items near the query endpoints first.
-
-    Counts bucketed by 1-bits are invariant under item order, but the
-    subtree prunes fire much earlier when the neighborhood of an anchor
-    vertex is decided before far-away edges.
-    """
-    bb = bunkbed(g)
-    layer = {}
-    frontier = [a for a in anchors if a in arena.index]
-    for a in frontier:
-        layer[a] = 0
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for x in frontier:
-            for y, _ in bb.adjacency[x]:
-                if y not in layer:
-                    layer[y] = depth
-                    nxt.append(y)
-        frontier = nxt
-
-    reverse = {i: v for v, i in arena.index.items()}
-
-    def sort_key(pos: int) -> tuple:
-        pairs = arena.items[pos][0] + arena.items[pos][1]
-        ds = [layer.get(reverse[i], len(layer)) for pair in pairs for i in pair]
-        return (min(ds), max(ds), pos)
-
-    return sorted(range(len(arena.items)), key=sort_key)
-
-
 def _query_counts(
     g: Multigraph,
     queries: Sequence[Sequence[tuple[BunkbedVertex, BunkbedVertex]]],
     pinned: Optional[Iterable[Vertex]],
     caps: Caps,
     workers: int,
-    strategy: str,
 ) -> tuple[list[list[int]], int]:
     arena = _build_arena(g, pinned)
     _check_cap(arena.bits, caps)
@@ -167,20 +133,12 @@ def _query_counts(
             pairs.append((index[a], index[b]))
         idx_queries.append(tuple(pairs))
 
-    items = list(arena.items)
-    if arena.bits > 14:
-        anchors = [pair[0] for q in queries for pair in q[:1]]
-        anchors += [pair[1] for q in queries for pair in q[:1]]
-        order = _distance_order(g, arena, anchors)
-        items = [arena.items[i] for i in order]
-
     counts = connection_counts(
         arena.num_vertices,
         arena.base_pairs,
-        items,
+        arena.items,
         idx_queries,
         workers=workers,
-        strategy=strategy,
     )
     return counts, arena.bits
 
@@ -205,7 +163,6 @@ def connection_query_polynomials(
     *,
     caps: Caps = DEFAULT_CAPS,
     workers: int = 1,
-    strategy: str = "shared",
 ) -> list[RationalPoly]:
     """Exact probability, per query, that all its vertex pairs connect.
 
@@ -213,7 +170,7 @@ def connection_query_polynomials(
     randomizes the vertical edges along with the horizontal ones;
     pinned=t fixes verticals open exactly at the vertices of t.
     """
-    counts, bits = _query_counts(g, queries, pinned, caps, workers, strategy)
+    counts, bits = _query_counts(g, queries, pinned, caps, workers)
     return [counts_to_polynomial(row, bits) for row in counts]
 
 
@@ -225,11 +182,10 @@ def connection_polynomial(
     *,
     caps: Caps = DEFAULT_CAPS,
     workers: int = 1,
-    strategy: str = "shared",
 ) -> RationalPoly:
     """Exact polynomial in p for the event that a and b are connected."""
     return connection_query_polynomials(
-        g, [((a, b),)], pinned, caps=caps, workers=workers, strategy=strategy
+        g, [((a, b),)], pinned, caps=caps, workers=workers
     )[0]
 
 
@@ -241,7 +197,6 @@ def endpoint_polynomials(
     *,
     caps: Caps = DEFAULT_CAPS,
     workers: int = 1,
-    strategy: str = "shared",
 ) -> tuple[RationalPoly, RationalPoly]:
     """Connection polynomials for (u bottom, v bottom) and (u bottom, v top).
 
@@ -255,7 +210,6 @@ def endpoint_polynomials(
         pinned,
         caps=caps,
         workers=workers,
-        strategy=strategy,
     )
     return polys[0], polys[1]
 
@@ -268,12 +222,9 @@ def difference_polynomial(
     *,
     caps: Caps = DEFAULT_CAPS,
     workers: int = 1,
-    strategy: str = "shared",
 ) -> RationalPoly:
     """P(u bottom <-> v bottom) - P(u bottom <-> v top), exactly."""
-    same, cross = endpoint_polynomials(
-        g, u, v, pinned, caps=caps, workers=workers, strategy=strategy
-    )
+    same, cross = endpoint_polynomials(g, u, v, pinned, caps=caps, workers=workers)
     return same - cross
 
 

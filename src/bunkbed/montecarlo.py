@@ -25,6 +25,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .enumeration import _spread
 from .graphs import Multigraph, Vertex
 
 GENERATOR = "philox4x64-raw"
@@ -177,16 +178,7 @@ def estimate_difference(
         edges += [(a, b, full) for a, b in base_pairs]
         reach = [0] * num_vertices
         reach[u0] = full
-        changed = True
-        while changed:
-            changed = False
-            for a, b, lane in edges:
-                ra, rb = reach[a], reach[b]
-                both = (ra | rb) & lane
-                if both & ~(ra & rb):
-                    reach[a] = ra | both
-                    reach[b] = rb | both
-                    changed = True
+        _spread(reach, edges)
         same_lane, cross_lane = reach[v0], reach[v1]
         same = same_lane.bit_count()
         cross = cross_lane.bit_count()

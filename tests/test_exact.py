@@ -17,8 +17,10 @@ from bunkbed import (
     bunkbed,
     bunkbed_vertex,
     connected_avoiding,
+    connection_counts,
     connection_polynomial,
     connection_query_polynomials,
+    counts_to_polynomial,
     difference_polynomial,
     endpoint_polynomials,
     geodesic_check,
@@ -26,7 +28,9 @@ from bunkbed import (
     threshold_point,
 )
 
+from bunkbed.exact import _build_arena
 from conftest import family_graphs
+from test_enumeration import reference_counts_dfs, reference_counts_scratch
 
 
 def brute_connection_poly(g, a, b, pinned):
@@ -176,17 +180,31 @@ class TestInvariances:
                     assert 0 <= val <= 1
                 assert same.evaluate(p) >= cross.evaluate(p)
 
-    def test_strategy_and_worker_agreement(self, family):
-        for name in ("path3", "cycle4"):
-            g = family[name]
-            x, y = g.vertices[0], g.vertices[-1]
-            reference = endpoint_polynomials(g, x, y, None)
-            for strategy in ("shared", "scratch"):
+    def test_kernel_matches_oracles(self, family, six_vertex):
+        graphs = dict(family, six_vertex=six_vertex)
+        for name, g in graphs.items():
+            x, y = ("u", "v") if name == "six_vertex" else (g.vertices[0], g.vertices[-1])
+            some = {"b", "e"} if {"b", "e"} <= set(g.vertices) else g.vertices[1::2]
+            x0, y0, y1 = (bunkbed_vertex(x, 0), bunkbed_vertex(y, 0), bunkbed_vertex(y, 1))
+            for pinned in (None, frozenset(), frozenset(some), frozenset(g.vertices)):
+                arena = _build_arena(g, pinned)
+                queries = [((x0, y0),), ((x0, y1),)]
+                if arena.bits <= 16:
+                    # The oracles take seconds per query on the 22-bit
+                    # case, so conjunctions and the scratch oracle run on
+                    # the smaller ones.
+                    queries.append(((x0, y0), (y1, x0)))
+                ix = arena.index
+                index_queries = [tuple((ix[a], ix[b]) for a, b in q) for q in queries]
+                args = (arena.num_vertices, arena.base_pairs, arena.items, index_queries)
+                expected = reference_counts_dfs(*args)
+                if arena.bits <= 16:
+                    assert reference_counts_scratch(*args) == expected, (name, pinned)
                 for workers in (1, 2, 8):
-                    got = endpoint_polynomials(
-                        g, x, y, None, workers=workers, strategy=strategy
-                    )
-                    assert got == reference
+                    got = connection_counts(*args, workers=workers)
+                    assert got == expected, (name, pinned, workers)
+                polys = connection_query_polynomials(g, queries, pinned, workers=2)
+                assert polys == [counts_to_polynomial(row, arena.bits) for row in expected]
 
 
 class TestBunkbedShape:
