@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .enumeration import (
@@ -144,16 +145,17 @@ def _query_counts(
 
 
 def counts_to_polynomial(counts: Sequence[int], bits: int) -> RationalPoly:
-    """Sum of counts[j] * p^j * (1-p)^(bits-j), expanded exactly."""
-    one_minus = RationalPoly((1, -1), VAR_P)
-    powers = [RationalPoly.one(VAR_P)]
-    for _ in range(bits):
-        powers.append(powers[-1] * one_minus)
-    acc = RationalPoly.zero(VAR_P)
+    """Sum of counts[j] * p^j * (1-p)^(bits-j), expanded exactly.
+
+    The coefficient of p^i is the integer sum over j of
+    counts[j] * C(bits-j, i-j) * (-1)^(i-j).
+    """
+    coeffs = [0] * (bits + 1)
     for j, c in enumerate(counts):
         if c:
-            acc = acc + RationalPoly.monomial(j, c, VAR_P) * powers[bits - j]
-    return acc
+            for r in range(bits - j + 1):
+                coeffs[j + r] += (-1) ** r * c * comb(bits - j, r)
+    return RationalPoly(coeffs, VAR_P)
 
 
 def connection_query_polynomials(

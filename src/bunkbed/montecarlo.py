@@ -26,6 +26,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .enumeration import _spread
+from .exact import _build_arena
 from .graphs import Multigraph, Vertex
 
 GENERATOR = "philox4x64-raw"
@@ -60,33 +61,6 @@ def _threshold(p: Fraction) -> int:
     return -((-num << 64) // den)
 
 
-def _sampling_plan(g: Multigraph, pinned: Optional[Iterable[Vertex]]):
-    """Index pairs for the randomized edges and the always-open posts."""
-    index = {}
-    for i, v in enumerate(g.vertices):
-        index[(v, 0)] = 2 * i
-        index[(v, 1)] = 2 * i + 1
-    random_pairs = []
-    random_ids = []
-    for eid, a, b in g.edges:
-        for level in (0, 1):
-            random_pairs.append((index[(a, level)], index[(b, level)]))
-            random_ids.append(("h", eid, level))
-    base_pairs = []
-    if pinned is None:
-        for v in g.vertices:
-            random_pairs.append((index[(v, 0)], index[(v, 1)]))
-            random_ids.append(("v", v))
-    else:
-        pinned = set(pinned)
-        for v in pinned:
-            g.require_vertex(v)
-        for v in g.vertices:
-            if v in pinned:
-                base_pairs.append((index[(v, 0)], index[(v, 1)]))
-    return index, random_pairs, random_ids, base_pairs
-
-
 def _shard_bits(seed: int, shard: int, count: int, columns: int, threshold: int):
     key = np.array([seed % (1 << 64), shard], dtype=np.uint64)
     raws = np.random.Philox(key=key).random_raw(count * columns)
@@ -110,9 +84,9 @@ def sample_bunkbed(
     Pinned verticals are included as open; with pinned=None the vertical
     edges are sampled like the horizontal ones.
     """
-    _, random_pairs, random_ids, _ = _sampling_plan(g, pinned)
-    bits = _shard_bits(seed, 0, 1, max(1, len(random_pairs)), _threshold(p))[0]
-    open_ids = {eid for eid, bit in zip(random_ids, bits) if bit}
+    arena = _build_arena(g, pinned)
+    bits = _shard_bits(seed, 0, 1, max(1, arena.bits), _threshold(p))[0]
+    open_ids = {eid for eid, bit in zip(arena.item_ids, bits) if bit}
     if pinned is not None:
         open_ids |= {("v", v) for v in pinned}
     return frozenset(open_ids)
@@ -153,13 +127,13 @@ def estimate_difference(
     g.require_vertex(v)
     if samples < 1:
         raise ValueError("need at least one sample")
-    index, random_pairs, _, base_pairs = _sampling_plan(g, pinned)
+    arena = _build_arena(g, pinned)
+    random_pairs = [pair for _, (pair,) in arena.items]
     threshold = _threshold(p)
-    columns = len(random_pairs)
-    num_vertices = 2 * g.vertex_count
-    u0 = index[(u, 0)]
-    v0 = index[(v, 0)]
-    v1 = index[(v, 1)]
+    columns = arena.bits
+    u0 = arena.index[(u, 0)]
+    v0 = arena.index[(v, 0)]
+    v1 = arena.index[(v, 1)]
 
     shards = range((samples + SHARD_SAMPLES - 1) // SHARD_SAMPLES)
 
@@ -175,8 +149,8 @@ def estimate_difference(
             (a, b, int.from_bytes(lane.tobytes(), "little"))
             for (a, b), lane in zip(random_pairs, packed)
         ]
-        edges += [(a, b, full) for a, b in base_pairs]
-        reach = [0] * num_vertices
+        edges += [(a, b, full) for a, b in arena.base_pairs]
+        reach = [0] * arena.num_vertices
         reach[u0] = full
         _spread(reach, edges)
         same_lane, cross_lane = reach[v0], reach[v1]

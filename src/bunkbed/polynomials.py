@@ -10,7 +10,7 @@ q = 1 - p; mixing tags is an error, and reparam() converts between them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 VAR_P = "p"
 VAR_Q = "q"
@@ -233,10 +233,3 @@ class RationalPoly:
                 parts.append(term)
         return " ".join(parts)
 
-
-def poly_sum(polys: Sequence[RationalPoly], var: str) -> RationalPoly:
-    """Sum a sequence of polynomials; the empty sum is zero in var."""
-    acc = RationalPoly.zero(var)
-    for p in polys:
-        acc = acc + p
-    return acc

@@ -25,11 +25,12 @@ from typing import Iterable, Iterator, Optional
 from .enumeration import Caps, DEFAULT_CAPS, CapExceededError
 from .exact import (
     connected_avoiding,
+    counts_to_polynomial,
     difference_polynomial,
     threshold_point,
 )
 from .graphs import INFINITY, Multigraph, Vertex, minor, vertical_free_distance
-from .polynomials import VAR_P, RationalPoly
+from .polynomials import RationalPoly
 from .reports import DISCREPANCY, FAIL, PASS, VerificationReport, aggregate_verdict
 
 
@@ -94,21 +95,6 @@ def enumerate_tripartitions(
             )
 
     return generate()
-
-
-def tripartition_weight(s: Tripartition) -> RationalPoly:
-    """Probability of the tripartition as a polynomial in p.
-
-    Each none-open edge contributes (1-p)^2, each one-open edge
-    2p(1-p), each both-open edge p^2; independent of the conditioning.
-    """
-    one_minus = RationalPoly((1, -1), VAR_P)
-    p = RationalPoly.variable(VAR_P)
-    return (
-        (one_minus ** (2 * len(s.none_open)))
-        * ((2 * p * one_minus) ** len(s.one_open))
-        * (p ** (2 * len(s.both_open)))
-    )
 
 
 @dataclass(frozen=True)
@@ -202,26 +188,12 @@ def updown_difference(
     In the reduced model each non-loop edge opens its upper or lower
     copy with probability 1/2; the factor is the probability the
     endpoint images connect on the bottom level minus the probability
-    the bottom image of u connects to the top image of v.
+    the bottom image of u connects to the top image of v.  Swapping the
+    levels of every edge preserves the measure, so this is half the mean
+    of the symmetrized indicator from updown_f_values.
     """
-    model = model if model is not None else reduced_model(g, s, t, u, v)
-    index, base_parent, domain = _updown_arena(model, caps)
-    pu0 = index[(model.pu, 0)]
-    pv0 = index[(model.pv, 0)]
-    pv1 = index[(model.pv, 1)]
-    k = len(domain)
-    total = 0
-    for mask in range(1 << k):
-        parent = list(base_parent)
-        for i, (_, a, b) in enumerate(domain):
-            level = (mask >> i) & 1
-            ra = _root(parent, index[(a, level)])
-            rb = _root(parent, index[(b, level)])
-            if ra != rb:
-                parent[rb] = ra
-        ru = _root(parent, pu0)
-        total += (ru == _root(parent, pv0)) - (ru == _root(parent, pv1))
-    return Fraction(total, 1 << k)
+    domain, values = updown_f_values(g, s, t, u, v, caps=caps, model=model)
+    return Fraction(sum(values), 1 << (len(domain) + 1))
 
 
 def updown_f_values(
@@ -267,26 +239,23 @@ def updown_f_values(
 
 @dataclass
 class TripartitionTable:
-    """Per-graph cache of tripartitions, reduced graphs, and weights."""
+    """Per-graph cache of tripartitions and their reduced graphs."""
 
     graph: Multigraph
     tripartitions: list
     reduced: list
     projections: list
-    weights: list
 
     @classmethod
     def build(cls, g: Multigraph, caps: Caps = DEFAULT_CAPS) -> "TripartitionTable":
         tripartitions = list(enumerate_tripartitions(g, caps))
         reduced = []
         projections = []
-        weights = []
         for s in tripartitions:
             rg, projection = minor(g, s.none_open, s.both_open)
             reduced.append(rg)
             projections.append(projection)
-            weights.append(tripartition_weight(s))
-        return cls(g, tripartitions, reduced, projections, weights)
+        return cls(g, tripartitions, reduced, projections)
 
     def model(self, i: int, t: frozenset, u: Vertex, v: Vertex) -> ReducedModel:
         projection = self.projections[i]
@@ -325,7 +294,13 @@ def analyze_tripartitions(
     caps: Caps = DEFAULT_CAPS,
     table: Optional[TripartitionTable] = None,
 ) -> TripartitionAnalysis:
-    """Classify every tripartition and collect factors, masses, and bounds."""
+    """Classify every tripartition and collect factors, masses, and bounds.
+
+    Masses and the expansion sum are accumulated as integer vectors in
+    the basis p^j (1-p)^(2|E|-j) of the counting kernel: tripartition s
+    has weight 2^|one_open| p^j (1-p)^(2|E|-j) with j = |one_open| +
+    2 |both_open|.  They become polynomials once, at the end.
+    """
     t = frozenset(t)
     g.require_vertex(u)
     g.require_vertex(v)
@@ -334,9 +309,10 @@ def analyze_tripartitions(
     if table is None:
         table = TripartitionTable.build(g, caps)
 
+    bits = 2 * g.edge_count
     class_counts = {cls: 0 for cls in DistanceClass}
-    class_mass = {cls: RationalPoly.zero(VAR_P) for cls in DistanceClass}
-    expansion_sum = RationalPoly.zero(VAR_P)
+    class_mass = {cls: [0] * (bits + 1) for cls in DistanceClass}
+    expansion = [0] * (bits + 1)
     factors: list[Fraction] = []
     classes: list[DistanceClass] = []
     min_factor: Optional[Fraction] = None
@@ -345,38 +321,29 @@ def analyze_tripartitions(
     stated_failures: list[Tripartition] = []
     pointwise_failures: list[Tripartition] = []
     mirror_failures: list[Tripartition] = []
-    distance_memo: dict = {}
 
     for i, s in enumerate(table.tripartitions):
         model = table.model(i, t, u, v)
-        memo_key = (
-            frozenset(model.projection.items()),
-            s.none_open,
-        )
-        if memo_key in distance_memo:
-            d = distance_memo[memo_key]
-        else:
-            d = vertical_free_distance(model.graph, model.pu, model.pv, model.pinned)
-            distance_memo[memo_key] = d
-        if d == INFINITY:
-            cls = DistanceClass.UNREACHABLE
-        elif d <= 1:
-            cls = DistanceClass.AT_MOST_ONE
-        else:
-            cls = DistanceClass.AT_LEAST_TWO
-
-        weight = table.weights[i]
+        cls, _ = classify(g, s, t, u, v, model=model)
+        ones = len(s.one_open)
+        j = ones + 2 * len(s.both_open)
         class_counts[cls] += 1
-        class_mass[cls] = class_mass[cls] + weight
+        class_mass[cls][j] += 1 << ones
 
         domain, f_values = updown_f_values(g, s, t, u, v, caps=caps, model=model)
-        factor = Fraction(sum(f_values), 1 << (len(domain) + 1))
+        total = sum(f_values)
+        factor = Fraction(total, 1 << (len(domain) + 1))
         factors.append(factor)
         classes.append(cls)
-        expansion_sum = expansion_sum + factor * weight
+        # factor * 2^ones = (total / 2) * 2^(ones - |domain|), an integer:
+        # the domain is the non-loop part of one_open, and total is even
+        # because flipping every edge's level maps a mask to its
+        # complement without changing f.
+        expansion[j] += (total >> 1) << (ones - len(domain))
 
         if cls is DistanceClass.UNREACHABLE:
-            if factor != 0 or not _mirror_holds(model, domain, f_values):
+            flip, _ = _mirror_flip(model, domain)
+            if factor != 0 or not _mirror_holds(f_values, flip):
                 mirror_failures.append(s)
         elif cls is DistanceClass.AT_MOST_ONE:
             if min_factor is None or factor < min_factor:
@@ -391,8 +358,10 @@ def analyze_tripartitions(
 
     return TripartitionAnalysis(
         class_counts={cls.value: n for cls, n in class_counts.items()},
-        class_mass={cls.value: m for cls, m in class_mass.items()},
-        expansion_sum=expansion_sum,
+        class_mass={
+            cls.value: counts_to_polynomial(m, bits) for cls, m in class_mass.items()
+        },
+        expansion_sum=counts_to_polynomial(expansion, bits),
         factors=factors,
         classes=classes,
         min_factor=min_factor,
@@ -420,19 +389,23 @@ def _pinned_free_side(model: ReducedModel) -> set:
     return side
 
 
-def _mirror_holds(model: ReducedModel, domain: tuple, f_values: list[int]) -> bool:
-    """Flipping every edge not touching the u side negates f pointwise."""
+def _mirror_flip(model: ReducedModel, domain: tuple) -> tuple[int, list]:
+    """Mask bits and ids of the domain edges with no end on the u side."""
     side = _pinned_free_side(model)
     endpoints = model.graph.endpoints
     flip = 0
+    flipped_ids = []
     for i, eid in enumerate(domain):
         a, b = endpoints[eid]
         if a not in side and b not in side:
             flip |= 1 << i
-    for mask, value in enumerate(f_values):
-        if f_values[mask ^ flip] != -value:
-            return False
-    return True
+            flipped_ids.append(eid)
+    return flip, flipped_ids
+
+
+def _mirror_holds(f_values: list[int], flip: int) -> bool:
+    """Flipping the edges in the flip mask negates f pointwise."""
+    return all(f_values[mask ^ flip] == -value for mask, value in enumerate(f_values))
 
 
 def mirroring_involution_check(
@@ -461,18 +434,8 @@ def mirroring_involution_check(
         )
     domain, f_values = updown_f_values(g, s, t, u, v, caps=caps, model=model)
     factor = Fraction(sum(f_values), 1 << (len(domain) + 1))
-
-    side = _pinned_free_side(model)
-    endpoints = model.graph.endpoints
-    flip = 0
-    flipped_ids = []
-    for i, eid in enumerate(domain):
-        a, b = endpoints[eid]
-        if a not in side and b not in side:
-            flip |= 1 << i
-            flipped_ids.append(eid)
-
-    negates = all(f_values[m ^ flip] == -val for m, val in enumerate(f_values))
+    flip, flipped_ids = _mirror_flip(model, domain)
+    negates = _mirror_holds(f_values, flip)
     involution = all((m ^ flip) ^ flip == m for m in range(len(f_values)))
     verdict = PASS if (negates and involution and factor == 0) else FAIL
     inputs = {
@@ -490,7 +453,7 @@ def mirroring_involution_check(
             "factor": factor,
             "flip_negates": negates,
             "is_involution": involution,
-            "u_side_size": len(side),
+            "u_side_size": len(_pinned_free_side(model)),
             "flipped_edges": sorted(flipped_ids),
         },
         witnesses={},

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bunkbed import (
     CapExceededError,
@@ -74,6 +77,22 @@ def brute_connection_poly(g, a, b, pinned):
         if c:
             total = total + (p ** j) * ((one - p) ** (k - j)) * Fraction(c)
     return total
+
+
+def reference_counts_to_polynomial(counts, bits):
+    """Sum of counts[j] * p^j * (1-p)^(bits-j) as a chain of polynomial products.
+
+    The conversion the library used before the integer binomial expansion.
+    """
+    one_minus = RationalPoly((1, -1), VAR_P)
+    powers = [RationalPoly.one(VAR_P)]
+    for _ in range(bits):
+        powers.append(powers[-1] * one_minus)
+    acc = RationalPoly.zero(VAR_P)
+    for j, c in enumerate(counts):
+        if c:
+            acc = acc + RationalPoly.monomial(j, c, VAR_P) * powers[bits - j]
+    return acc
 
 
 poly = lambda coeffs: RationalPoly(coeffs, VAR_P)
@@ -205,6 +224,32 @@ class TestInvariances:
                     assert got == expected, (name, pinned, workers)
                 polys = connection_query_polynomials(g, queries, pinned, workers=2)
                 assert polys == [counts_to_polynomial(row, arena.bits) for row in expected]
+
+
+class TestCountsToPolynomial:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_product_expansion(self, data):
+        bits = data.draw(st.integers(min_value=0, max_value=26), label="bits")
+        entries = st.integers(min_value=-(1 << 40), max_value=1 << 40)
+        counts = data.draw(
+            st.lists(entries, min_size=bits + 1, max_size=bits + 1), label="counts"
+        )
+        assert counts_to_polynomial(counts, bits) == (
+            reference_counts_to_polynomial(counts, bits)
+        )
+
+    @pytest.mark.parametrize("bits", [0, 1, 2, 22])
+    def test_zero_and_unit_rows(self, bits):
+        assert counts_to_polynomial([0] * (bits + 1), bits).is_zero()
+        for j in range(bits + 1):
+            row = [0] * (bits + 1)
+            row[j] = 1
+            assert counts_to_polynomial(row, bits) == (
+                reference_counts_to_polynomial(row, bits)
+            )
+        binomial = [math.comb(bits, j) for j in range(bits + 1)]
+        assert counts_to_polynomial(binomial, bits) == RationalPoly.one(VAR_P)
 
 
 class TestBunkbedShape:

@@ -25,10 +25,10 @@ from bunkbed import (
     sample_bunkbed,
     vertical_edge_id,
 )
+from bunkbed.exact import _build_arena
 from bunkbed.montecarlo import (
     SHARD_SAMPLES,
     _estimate,
-    _sampling_plan,
     _shard_bits,
     _threshold,
 )
@@ -39,15 +39,17 @@ def reference_estimate(g, u, v, p, samples, seed, pinned=None) -> DifferenceEsti
     """Per-sample union-find over the same shards and Philox streams.
 
     This is the estimator the bit-lane spreading replaced.  It reuses the
-    library's sampling plan, Philox shards, threshold and moment formula,
+    library's bunkbed arena, Philox shards, threshold and moment formula,
     so only the reachability step differs and the results must be equal.
     """
-    index, random_pairs, _, base_pairs = _sampling_plan(g, pinned)
+    arena = _build_arena(g, pinned)
+    random_pairs = [pair for _, (pair,) in arena.items]
     threshold = _threshold(p)
     columns = len(random_pairs)
+    index = arena.index
     u0, v0, v1 = index[(u, 0)], index[(v, 0)], index[(v, 1)]
     base_parent = list(range(2 * g.vertex_count))
-    for a, b in base_pairs:
+    for a, b in arena.base_pairs:
         base_parent[b] = base_parent[a]
 
     def root(parent, x):

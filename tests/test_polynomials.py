@@ -15,7 +15,6 @@ from bunkbed import (
     VariableMismatchError,
     format_fraction,
     parse_fraction,
-    poly_sum,
 )
 
 fractions = st.fractions(
@@ -163,9 +162,3 @@ class TestSerialization:
             "variable": "p",
             "coefficients": ["1/2", "-1/1"],
         }
-
-    def test_poly_sum(self):
-        parts = [RationalPoly.monomial(k, Fraction(1), VAR_P) for k in range(4)]
-        total = poly_sum(parts, VAR_P)
-        assert total == RationalPoly([1, 1, 1, 1], VAR_P)
-        assert poly_sum([], VAR_P) == RationalPoly.zero(VAR_P)

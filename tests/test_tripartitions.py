@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from bunkbed import (
     CapExceededError,
     Caps,
+    DEFAULT_CAPS,
     DISCREPANCY,
     DistanceClass,
     FAIL,
@@ -21,23 +23,64 @@ from bunkbed import (
     analyze_tripartitions,
     bound_report,
     classify,
+    counts_to_polynomial,
     difference_polynomial,
     enumerate_tripartitions,
     expansion_identity_check,
     mirroring_involution_check,
     parse_edge_list,
-    poly_sum,
+    reduced_model,
     theorem_sign_check,
     threshold_point,
-    tripartition_weight,
     updown_difference,
     updown_f_values,
     validate_tripartition,
     verify_conditioning,
     verify_theorem,
 )
+from bunkbed.tripartitions import _updown_arena
 
 poly = lambda coeffs: RationalPoly(coeffs, VAR_P)
+
+
+def reference_updown_difference(g, s, t, u, v, *, caps=DEFAULT_CAPS) -> Fraction:
+    """Bottom-bottom minus bottom-top connection probability, per mask.
+
+    The union-find loop the library used before it derived the factor
+    from the symmetrized indicator of updown_f_values; it counts only
+    the two bottom-anchored events, so the two routes share nothing
+    past the reduced model and its index arena.
+    """
+    model = reduced_model(g, s, t, u, v)
+    index, base_parent, domain = _updown_arena(model, caps)
+
+    def root(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pu0 = index[(model.pu, 0)]
+    pv0 = index[(model.pv, 0)]
+    pv1 = index[(model.pv, 1)]
+    k = len(domain)
+    total = 0
+    for mask in range(1 << k):
+        parent = list(base_parent)
+        for i, (_, a, b) in enumerate(domain):
+            level = (mask >> i) & 1
+            ra = root(parent, index[(a, level)])
+            rb = root(parent, index[(b, level)])
+            if ra != rb:
+                parent[rb] = ra
+        ru = root(parent, pu0)
+        total += (ru == root(parent, pv0)) - (ru == root(parent, pv1))
+    return Fraction(total, 1 << k)
+
+
+def _pinned_sets(g):
+    n = g.vertex_count
+    for code in range(1 << n):
+        yield frozenset(g.vertices[i] for i in range(n) if (code >> i) & 1)
 
 
 class TestEnumeration:
@@ -77,22 +120,28 @@ class TestEnumeration:
 
 class TestWeights:
     def test_single_edge_weights(self, k2):
-        states = {
-            (frozenset({0}), frozenset(), frozenset()): poly([1, -2, 1]),
-            (frozenset(), frozenset({0}), frozenset()): poly([0, 2, -2]),
-            (frozenset(), frozenset(), frozenset({0})): poly([0, 0, 1]),
-        }
-        for (s0, s1, s2), expected in states.items():
-            s = Tripartition(none_open=s0, one_open=s1, both_open=s2)
-            assert tripartition_weight(s) == expected
+        # Tripartition s has weight 2^|one_open| at index
+        # |one_open| + 2 |both_open| of the count basis p^j (1-p)^(2|E|-j).
+        states = [
+            ([1, 0, 0], poly([1, -2, 1])),  # none open
+            ([0, 2, 0], poly([0, 2, -2])),  # one open
+            ([0, 0, 1], poly([0, 0, 1])),  # both open
+        ]
+        for row, expected in states:
+            assert counts_to_polynomial(row, 2) == expected
+        masses = analyze_tripartitions(k2, frozenset(), "u", "v").class_mass
+        assert masses[DistanceClass.UNREACHABLE.value] == poly([1, -2, 1])
+        assert masses[DistanceClass.AT_MOST_ONE.value] == poly([0, 2, -1])
+        assert masses[DistanceClass.AT_LEAST_TWO.value].is_zero()
 
     def test_weights_sum_to_one(self, family):
-        for g in family.values():
-            total = poly_sum(
-                [tripartition_weight(s) for s in enumerate_tripartitions(g)],
-                VAR_P,
-            )
-            assert total == RationalPoly.one(VAR_P)
+        for name, g in family.items():
+            bits = 2 * g.edge_count
+            row = [0] * (bits + 1)
+            for s in enumerate_tripartitions(g):
+                row[len(s.one_open) + 2 * len(s.both_open)] += 1 << len(s.one_open)
+            assert row == [comb(bits, j) for j in range(bits + 1)], name
+            assert counts_to_polynomial(row, bits) == RationalPoly.one(VAR_P)
 
 
 class TestFactors:
@@ -105,6 +154,7 @@ class TestFactors:
         }
         for s in enumerate_tripartitions(k2):
             key = (s.none_open, s.one_open, s.both_open)
+            assert reference_updown_difference(k2, s, t, "u", "v") == expected[key]
             assert updown_difference(k2, s, t, "u", "v") == expected[key]
 
     def test_factor_equals_half_mean_of_f(self, family):
@@ -113,9 +163,22 @@ class TestFactors:
             x, y = g.vertices[0], g.vertices[-1]
             for t in (frozenset(), frozenset({g.vertices[0]}), frozenset(g.vertices)):
                 for s in enumerate_tripartitions(g):
-                    F = updown_difference(g, s, t, x, y)
+                    F = reference_updown_difference(g, s, t, x, y)
                     _, values = updown_f_values(g, s, t, x, y)
                     assert F == Fraction(sum(values), 2 * len(values))
+                    assert updown_difference(g, s, t, x, y) == F
+
+    def test_f_sum_is_even(self, family):
+        # Flipping every edge's level maps a mask to its complement and
+        # keeps f, so the integer expansion may halve the sum exactly.
+        for name, g in family.items():
+            table = TripartitionTable.build(g)
+            x, y = g.vertices[0], g.vertices[-1]
+            for t in _pinned_sets(g):
+                for i, s in enumerate(table.tripartitions):
+                    model = table.model(i, t, x, y)
+                    _, values = updown_f_values(g, s, t, x, y, model=model)
+                    assert sum(values) % 2 == 0, (name, t, s)
 
     def test_f_values_bounded(self, family):
         g = family["triangle"]
@@ -257,13 +320,12 @@ class TestBoundReport:
         assert report.quantities["mass_domination_sharp"] is False
 
     def test_class_masses_partition_unity(self, family):
-        for name in ("triangle", "star3"):
-            g = family[name]
+        for name, g in family.items():
             x, y = g.vertices[0], g.vertices[-1]
             report = bound_report(g, frozenset(), x, y)
             masses = report.quantities["class_mass"]
-            total = poly_sum(list(masses.values()), VAR_P)
-            assert total == RationalPoly.one(VAR_P)
+            total = sum(masses.values(), RationalPoly.zero(VAR_P))
+            assert total == RationalPoly.one(VAR_P), name
 
 
 class TestSignCheck:
