@@ -27,7 +27,7 @@ from .exact import (
     threshold_point,
 )
 from .graphs import GraphParseError, Multigraph, parse_edge_list
-from .line import gap_check, gap_polynomial, gaussian_limit, line_quantities, series_check
+from .line import gap_holds, gap_polynomial, gaussian_limit, line_quantities, series_report
 from .montecarlo import (
     agreement_check,
     estimate_difference,
@@ -289,15 +289,15 @@ def _cmd_line(args) -> tuple[dict, list[VerificationReport], None]:
     )
     reports = [base]
     if args.gap:
-        ok = gap_check(args.n)
+        gap = gap_polynomial(args.n)
         reports.append(VerificationReport(
             check="line_gap",
-            verdict=PASS if ok else FAIL,
+            verdict=PASS if gap_holds(lq, gap) else FAIL,
             inputs=inputs,
-            quantities={"gap": gap_polynomial(args.n)},
+            quantities={"gap": gap},
         ))
     if args.series:
-        reports.append(series_check(args.n))
+        reports.append(series_report(lq))
     if args.lam is not None:
         lam = _parse_fraction(args.lam, "--lambda")
         try:

@@ -11,9 +11,9 @@ independently tracked only-one recursion and against full enumeration.
 Near q = 0 the reconstructed quantities have pinned series coefficients,
 and along q = lambda/sqrt(n) the bottom-to-bottom probability tends to
 exp(-lambda^2); both facts are exposed as checks here.  One recursion
-serves both: it runs on polynomials in q for the closed forms, and on
-the single exact rational q for the Gaussian point, where no polynomial
-is built.
+serves both, on plain integers: it runs on integer coefficient tuples in
+q for the closed forms, and for the Gaussian point q = a/b on integer
+numerators over a power of b, so no gcd is taken until the end.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
+from math import comb, isqrt
 from typing import Iterator, Optional
 
 from .graphs import Multigraph
@@ -62,69 +62,111 @@ class LineQuantities:
     to_top_only: RationalPoly
 
 
+class _IntPoly(tuple):
+    """Integer coefficients in q, lowest degree first.
+
+    Only the ring operations the line recursion uses: + and - act
+    coefficientwise, * multiplies by another _IntPoly or by an int.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other: "_IntPoly") -> "_IntPoly":
+        short, long = sorted((self, other), key=len)
+        out = list(long)
+        for i, c in enumerate(short):
+            out[i] += c
+        return _IntPoly(out)
+
+    def __sub__(self, other: "_IntPoly") -> "_IntPoly":
+        return self + -1 * other
+
+    def __mul__(self, other) -> "_IntPoly":
+        if isinstance(other, int):
+            return _IntPoly(other * c for c in self)
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            if a:
+                for j, b in enumerate(other):
+                    out[i + j] += a * b
+        return _IntPoly(out)
+
+    __rmul__ = __mul__
+
+
+# (a, b, c) = (q, 1, 1 - q): _line_recursion on the polynomials themselves.
+_POLY_POINT = (_IntPoly((0, 1)), _IntPoly((1,)), _IntPoly((1, -1)))
+
+
+def _gap_coefficients(n: int) -> _IntPoly:
+    """q^(n+1) (1-q)^n, from the binomial theorem."""
+    return _IntPoly([0] * (n + 1) + [(-1) ** k * comb(n, k) for k in range(n + 1)])
+
+
 def gap_polynomial(n: int) -> RationalPoly:
     """Closed form q^(n+1) (1-q)^n for to_bottom - to_top."""
-    q = RationalPoly.variable(VAR_Q)
-    return q ** (n + 1) * (1 - q) ** n
+    return RationalPoly(_gap_coefficients(n), VAR_Q)
 
 
-def _line_recursion(q) -> Iterator[tuple]:
-    """Yield (both, exactly_one, bottom_only, top_only, gap) for n = 0, 1, ...
+def _line_recursion(a, b, c) -> Iterator[tuple]:
+    """Yield (both, exactly_one, bottom_only, top_only) for n = 0, 1, ...
 
-    q is either the variable polynomial in q or an exact Fraction; the
-    recursion uses only ring operations, so the scalar route yields the
-    polynomials evaluated at that point, exactly.  The gap is carried in
-    the product form gap_{n+1} = gap_n * q(1-q) of its closed form.
+    With q = a/b and 1 - q = c/b every step multiplies by polynomials of
+    degree at most three in q, written here as cubic forms in a, b, c, so
+    the state at step n is the numerators over b^(3n+1).  Integers give
+    the scalar route; _POLY_POINT gives the polynomials themselves.
     """
-    p = 1 - q
-    step_only = q * p          # survive one rung reaching the same side
-    step_cross = q * q * p     # enter from the both-reached state
-    both_keep = (1 + 2 * q) * p * p
-    both_from_one = p * p
-    one_from_both = 2 * q * q * p
-    one_keep = q * p
+    step_only = a * b * c      # q(1-q): survive one rung reaching the same side
+    step_cross = a * a * c     # q^2(1-q): enter from the both-reached state
+    both_keep = (b + 2 * a) * c * c
+    both_from_one = b * c * c
+    one_from_both = 2 * step_cross
+    one_keep = step_only
 
-    bottom_only, top_only, both, exactly_one, gap = q, 0 * q, p, q, q
+    bottom_only, top_only, both, exactly_one = a, 0 * a, c, a
     while True:
-        yield both, exactly_one, bottom_only, top_only, gap
+        yield both, exactly_one, bottom_only, top_only
         bottom_only, top_only, both, exactly_one = (
             step_only * bottom_only + step_cross * both,
             step_only * top_only + step_cross * both,
             both_keep * both + both_from_one * exactly_one,
             one_from_both * both + one_keep * exactly_one,
         )
-        gap = gap * step_only
 
 
-def _ends(both, exactly_one, gap) -> tuple:
-    """Reconstruct (to_bottom, to_top) from the both/exactly-one pair and the gap."""
-    half = Fraction(1, 2)
+def _doubled_ends(both, exactly_one, gap) -> tuple:
+    """(2 to_bottom, 2 to_top) from the both/exactly-one pair and the gap."""
     total = 2 * both + exactly_one
-    return (total + gap) * half, (total - gap) * half
+    return total + gap, total - gap
+
+
+def _quantities(n: int, both, exactly_one, bottom_only, top_only) -> LineQuantities:
+    """LineQuantities from the polynomial route's state at step n."""
+    ends = _doubled_ends(both, exactly_one, _gap_coefficients(n))
+    to_bottom, to_top = (RationalPoly([Fraction(c, 2) for c in e], VAR_Q) for e in ends)
+    rest = (RationalPoly(x, VAR_Q) for x in (both, exactly_one, bottom_only, top_only))
+    return LineQuantities(n, to_bottom, to_top, *rest)
 
 
 def iter_line_quantities(max_n: int) -> Iterator[LineQuantities]:
     """Yield LineQuantities for n = 0, 1, ..., max_n at incremental cost."""
-    recursion = _line_recursion(RationalPoly.variable(VAR_Q))
-    for n, state in zip(range(max_n + 1), recursion):
-        both, exactly_one, bottom_only, top_only, gap = state
-        to_bottom, to_top = _ends(both, exactly_one, gap)
-        yield LineQuantities(n, to_bottom, to_top, both, exactly_one, bottom_only, top_only)
+    for n, state in zip(range(max_n + 1), _line_recursion(*_POLY_POINT)):
+        yield _quantities(n, *state)
 
 
 def line_quantities(n: int) -> LineQuantities:
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for lq in iter_line_quantities(n):
-        if lq.n == n:
-            return lq
-    raise AssertionError("unreachable")
+    return _quantities(n, *next(islice(_line_recursion(*_POLY_POINT), n, None)))
 
 
 def gap_check(n: int) -> bool:
     """The reconstruction gap agrees with the only-one recursion difference."""
-    lq = line_quantities(n)
-    gap = gap_polynomial(n)
+    return gap_holds(line_quantities(n), gap_polynomial(n))
+
+
+def gap_holds(lq: LineQuantities, gap: RationalPoly) -> bool:
+    """gap_check on already computed quantities and gap."""
     return (
         lq.to_bottom - lq.to_top == gap
         and lq.to_bottom_only - lq.to_top_only == gap
@@ -152,7 +194,12 @@ def series_check(n: int) -> VerificationReport:
     The table is exact only up to order n, so for n < 5 the comparison
     stops at order n and the verdict is PARTIAL.
     """
-    lq = line_quantities(n)
+    return series_report(line_quantities(n))
+
+
+def series_report(lq: LineQuantities) -> VerificationReport:
+    """series_check on already computed quantities."""
+    n = lq.n
     table = _series_table(n)
     limit = min(5, n)
     mismatches = []
@@ -208,22 +255,34 @@ class GaussianLimitResult:
     absolute_error: Decimal
 
 
+def _exact_point(n: int, q: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact (to_bottom, gap) of the length-n path at the rational q.
+
+    With q = a/b the recursion runs on integer numerators over b^(3n+1)
+    and the gap is a^(n+1) (b-a)^n / b^(2n+1); one Fraction is built for
+    each result, so no gcd is taken along the way.
+    """
+    a, b = q.numerator, q.denominator
+    c = b - a
+    both, exactly_one, _, _ = next(islice(_line_recursion(a, b, c), n, None))
+    gap = a ** (n + 1) * c ** n
+    twice_bottom, _ = _doubled_ends(both, exactly_one, gap * b ** n)
+    return Fraction(twice_bottom, 2 * b ** (3 * n + 1)), Fraction(gap, b ** (2 * n + 1))
+
+
 def gaussian_limit(n: int, lam: Fraction) -> GaussianLimitResult:
     """Exact evaluation against the limiting value exp(-lambda^2).
 
-    The line recursion runs on the scalar q itself, with exact rationals
-    throughout, and carries the gap in the product form of its closed
-    form; no polynomial is built.  value and gap_bound equal
-    line_quantities(n).to_bottom and gap_polynomial(n) evaluated at q,
-    rounded to 50 significant digits.  lambda/sqrt(n) outside (0, 1)
-    raises ValueError before the recursion starts.
+    value and gap_bound equal line_quantities(n).to_bottom and
+    gap_polynomial(n) evaluated at q (see _exact_point), rounded to 50
+    significant digits.  lambda/sqrt(n) outside (0, 1) raises ValueError
+    before the recursion starts.
     """
     lam = Fraction(lam)
     q = _approx_lambda_over_sqrt(lam, n)
     if not 0 < q < 1:
         raise ValueError(f"lambda/sqrt(n) = {q} falls outside (0, 1)")
-    both, exactly_one, _, _, gap_exact = next(islice(_line_recursion(q), n, None))
-    value_exact, _ = _ends(both, exactly_one, gap_exact)
+    value_exact, gap_exact = _exact_point(n, q)
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_PRECISION
         value = Decimal(value_exact.numerator) / Decimal(value_exact.denominator)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import bunkbed
 from bunkbed.cli import run
 
 
@@ -174,6 +176,23 @@ class TestLineCommand:
         payload = json.loads(out)
         assert payload["reports"][1]["verdict"] == "PARTIAL"
 
+    def test_recursion_runs_once_per_call(self, capsys, monkeypatch):
+        import bunkbed.cli
+        import bunkbed.line
+
+        calls = []
+        for module, name in ((bunkbed.cli, "line_quantities"), (bunkbed.line, "line_quantities"),
+                             (bunkbed.cli, "gap_polynomial"), (bunkbed.line, "gap_polynomial")):
+            def counted(n, _fn=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _fn(n)
+            monkeypatch.setattr(module, name, counted)
+        code, _, _ = run_cli(
+            capsys, ["line", "--n", "8", "--gap", "--series", "--lambda", "1/2"]
+        )
+        assert code == 0
+        assert sorted(calls) == ["gap_polynomial", "line_quantities"]
+
 
 class TestMonteCarloCommand:
     def test_agreement_against_exact(self, capsys, k2_file):
@@ -258,12 +277,21 @@ class TestEnvironmentOverrides:
         assert "BUNKBED_WORKERS" in err
 
 
+def package_env() -> dict:
+    """The environment with the directory this bunkbed was imported from first on PYTHONPATH."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(bunkbed.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    return env
+
+
 class TestInstalledEntryPoint:
     def test_console_script_runs(self, k2_file):
         proc = subprocess.run(
             [sys.executable, "-m", "bunkbed.cli"],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         # Module execution without a subcommand is a usage error.
         assert proc.returncode == 2
@@ -274,6 +302,7 @@ class TestInstalledEntryPoint:
             [sys.executable, "-m", "bunkbed.cli", *argv],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "exact"

@@ -7,8 +7,11 @@ import itertools
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
+from typing import Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bunkbed import (
     PARTIAL,
@@ -25,8 +28,67 @@ from bunkbed import (
     path_graph,
     series_check,
 )
+from bunkbed.line import LineQuantities, _exact_point, gap_holds
 
 qpoly = lambda coeffs: RationalPoly(coeffs, VAR_Q)
+
+
+# Reference oracle: the line recursion in Fraction/RationalPoly arithmetic,
+# sharing no code with the library's integer route.  It runs on the
+# polynomial variable or on one Fraction q, and carries the gap as a product.
+def reference_line_recursion(q) -> Iterator[tuple]:
+    """Yield (both, exactly_one, bottom_only, top_only, gap) for n = 0, 1, ...
+
+    q is either the variable polynomial in q or an exact Fraction; the
+    recursion uses only ring operations, so the scalar route yields the
+    polynomials evaluated at that point, exactly.  The gap is carried in
+    the product form gap_{n+1} = gap_n * q(1-q) of its closed form.
+    """
+    p = 1 - q
+    step_only = q * p          # survive one rung reaching the same side
+    step_cross = q * q * p     # enter from the both-reached state
+    both_keep = (1 + 2 * q) * p * p
+    both_from_one = p * p
+    one_from_both = 2 * q * q * p
+    one_keep = q * p
+
+    bottom_only, top_only, both, exactly_one, gap = q, 0 * q, p, q, q
+    while True:
+        yield both, exactly_one, bottom_only, top_only, gap
+        bottom_only, top_only, both, exactly_one = (
+            step_only * bottom_only + step_cross * both,
+            step_only * top_only + step_cross * both,
+            both_keep * both + both_from_one * exactly_one,
+            one_from_both * both + one_keep * exactly_one,
+        )
+        gap = gap * step_only
+
+
+def reference_ends(both, exactly_one, gap) -> tuple:
+    """Reconstruct (to_bottom, to_top) from the both/exactly-one pair and the gap."""
+    half = Fraction(1, 2)
+    total = 2 * both + exactly_one
+    return (total + gap) * half, (total - gap) * half
+
+
+def reference_line_quantities(max_n: int) -> Iterator[tuple[LineQuantities, RationalPoly]]:
+    """(LineQuantities, gap) for n = 0, ..., max_n on the oracle recursion."""
+    recursion = reference_line_recursion(RationalPoly.variable(VAR_Q))
+    for n, (both, exactly_one, bottom_only, top_only, gap) in zip(range(max_n + 1), recursion):
+        to_bottom, to_top = reference_ends(both, exactly_one, gap)
+        yield LineQuantities(n, to_bottom, to_top, both, exactly_one, bottom_only, top_only), gap
+
+
+def reference_point(n: int, q: Fraction) -> tuple[Fraction, Fraction]:
+    """(to_bottom, gap) at the scalar q on the oracle recursion."""
+    both, exactly_one, _, _, gap = next(itertools.islice(reference_line_recursion(q), n, None))
+    return reference_ends(both, exactly_one, gap)[0], gap
+
+
+def decimal50(x: Fraction) -> Decimal:
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return Decimal(x.numerator) / Decimal(x.denominator)
 
 
 class TestBaseCase:
@@ -62,6 +124,12 @@ class TestInternalIdentities:
         for lq in iter_line_quantities(16):
             assert lq.to_bottom_only - lq.to_top_only == gap_polynomial(lq.n)
 
+    def test_quantities_and_gap_equal_oracle(self):
+        for (ref, ref_gap), lq in zip(reference_line_quantities(60), iter_line_quantities(60)):
+            assert lq == ref
+            assert line_quantities(lq.n) == ref
+            assert gap_polynomial(lq.n) == ref_gap
+
     def test_iterator_matches_single_call(self):
         from_iter = list(iter_line_quantities(6))
         for n in range(7):
@@ -87,6 +155,14 @@ class TestGapCheck:
     @pytest.mark.parametrize("n", range(7))
     def test_holds(self, n):
         assert gap_check(n) is True
+
+    def test_gap_holds_rejects_wrong_quantities(self):
+        lq = line_quantities(6)
+        assert gap_holds(lq, gap_polynomial(6))
+        assert not gap_holds(lq, gap_polynomial(5))
+        assert not gap_holds(
+            LineQuantities(6, lq.to_bottom, lq.to_top, lq.to_both, lq.to_exactly_one,
+                           lq.to_bottom_only, lq.to_bottom_only), gap_polynomial(6))
 
     def test_gap_polynomial_shape(self):
         assert gap_polynomial(0) == qpoly([0, 1])
@@ -164,15 +240,10 @@ class TestGaussianLimit:
 
     @pytest.mark.parametrize("n", [2, 4, 5, 9, 12, 50])
     def test_scalar_route_equals_polynomial_route(self, n):
-        # The polynomials are the oracle: the scalar recursion must give the
-        # very same rationals, hence the same 50-digit decimals.
-        def decimal50(x):
-            with decimal.localcontext() as ctx:
-                ctx.prec = 50
-                return Decimal(x.numerator) / Decimal(x.denominator)
-
-        lq = line_quantities(n)
-        gap = gap_polynomial(n)
+        # The oracle's polynomials are the reference: the integer scalar
+        # recursion must give the very same rationals, hence the same
+        # 50-digit decimals.
+        lq, gap = list(reference_line_quantities(n))[n]
         for lam in (Fraction(1), Fraction(1, 2)):
             r = gaussian_limit(n, lam)
             root = isqrt(n)
@@ -186,3 +257,20 @@ class TestGaussianLimit:
                     assert abs(decimal50(r.q) - exact) < exact * Decimal(10) ** -30
             assert r.value == decimal50(lq.to_bottom.evaluate(r.q))
             assert r.gap_bound == decimal50(gap.evaluate(r.q))
+
+    @pytest.mark.parametrize("n, lam", [
+        *((n, lam) for n in (1, 2, 4, 5, 9, 12, 50, 60, 200)
+          for lam in ("1", "1/2") if Fraction(lam) ** 2 < n),
+        (2, "7/5"),  # q close to 1
+    ])
+    def test_exact_point_equals_scalar_oracle(self, n, lam):
+        r = gaussian_limit(n, Fraction(lam))
+        value, gap = _exact_point(n, r.q)
+        assert (value, gap) == reference_point(n, r.q)
+        assert (r.value, r.gap_bound) == (decimal50(value), decimal50(gap))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 20), q=st.fractions(min_value=0, max_value=1, max_denominator=10 ** 12)
+           .filter(lambda q: 0 < q < 1))
+    def test_exact_point_on_random_rationals(self, n, q):
+        assert _exact_point(n, q) == reference_point(n, q)
