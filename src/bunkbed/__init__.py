@@ -7,6 +7,8 @@ over edge tripartitions, and checks the resulting positivity bounds,
 path-graph closed forms, and Monte Carlo agreement.
 """
 
+from types import ModuleType as _ModuleType
+
 from .enumeration import Caps, CapExceededError, DEFAULT_CAPS, connection_counts
 from .exact import (
     bunkbed,
@@ -92,76 +94,8 @@ from .tripartitions import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Caps",
-    "CapExceededError",
-    "DEFAULT_CAPS",
-    "DifferenceEstimates",
-    "DistanceClass",
-    "DISCREPANCY",
-    "Estimate",
-    "FAIL",
-    "GaussianLimitResult",
-    "GeodesicCheck",
-    "GraphParseError",
-    "INFINITY",
-    "LineQuantities",
-    "Multigraph",
-    "PARTIAL",
-    "PASS",
-    "RationalPoly",
-    "ReducedModel",
-    "Tripartition",
-    "TripartitionAnalysis",
-    "TripartitionTable",
-    "VAR_P",
-    "VAR_Q",
-    "VariableMismatchError",
-    "VerificationReport",
-    "agreement_check",
-    "aggregate_verdict",
-    "analyze_tripartitions",
-    "bound_report",
-    "bunkbed",
-    "bunkbed_vertex",
-    "canonical_json",
-    "classify",
-    "connected_avoiding",
-    "connected_components",
-    "connection_counts",
-    "connection_polynomial",
-    "connection_query_polynomials",
-    "counts_to_polynomial",
-    "difference_polynomial",
-    "encode_value",
-    "endpoint_polynomials",
-    "enumerate_tripartitions",
-    "estimate_difference",
-    "estimate_to_json_obj",
-    "expansion_identity_check",
-    "format_fraction",
-    "gap_check",
-    "gap_polynomial",
-    "gaussian_limit",
-    "geodesic_check",
-    "horizontal_edge_id",
-    "iter_line_quantities",
-    "line_quantities",
-    "minor",
-    "mirroring_involution_check",
-    "parse_edge_list",
-    "parse_fraction",
-    "path_graph",
-    "reduced_model",
-    "sample_bunkbed",
-    "series_check",
-    "theorem_sign_check",
-    "threshold_point",
-    "updown_difference",
-    "updown_f_values",
-    "validate_tripartition",
-    "verify_conditioning",
-    "verify_theorem",
-    "vertical_edge_id",
-    "vertical_free_distance",
-]
+# The public names are exactly those imported above.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

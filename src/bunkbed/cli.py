@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -41,7 +42,7 @@ from .reports import (
     PASS,
     VerificationReport,
     aggregate_verdict,
-    canonical_json,
+    dump_json,
     encode_value,
 )
 from .tripartitions import verify_conditioning, verify_theorem
@@ -175,6 +176,13 @@ def _vertex(g: Multigraph, token: str) -> str:
     return token
 
 
+def _graph_pair(args) -> tuple[Caps, int, Multigraph, str, str]:
+    """Settings, graph and endpoints of a subcommand that takes --graph/--u/--v."""
+    caps, workers = _settings(args)
+    g = _load_graph(args.graph)
+    return caps, workers, g, _vertex(g, args.u), _vertex(g, args.v)
+
+
 def _parse_pinned(g: Multigraph, raw: Optional[str]) -> Optional[frozenset]:
     if raw is None:
         return None
@@ -192,10 +200,7 @@ def _parse_fraction(raw: str, what: str) -> Fraction:
 
 
 def _cmd_exact(args) -> tuple[dict, list[VerificationReport], Optional[str]]:
-    caps, workers = _settings(args)
-    g = _load_graph(args.graph)
-    u = _vertex(g, args.u)
-    v = _vertex(g, args.v)
+    caps, workers, g, u, v = _graph_pair(args)
     pinned = None if args.unconditioned else _parse_pinned(g, args.pinned)
     same, cross = endpoint_polynomials(g, u, v, pinned, caps=caps, workers=workers)
     difference = same - cross
@@ -238,10 +243,7 @@ def _cmd_exact(args) -> tuple[dict, list[VerificationReport], Optional[str]]:
 
 
 def _cmd_expand(args) -> tuple[dict, list[VerificationReport], None]:
-    caps, workers = _settings(args)
-    g = _load_graph(args.graph)
-    u = _vertex(g, args.u)
-    v = _vertex(g, args.v)
+    caps, workers, g, u, v = _graph_pair(args)
     pinned = _parse_pinned(g, args.pinned)
     assert pinned is not None
     reports = verify_conditioning(g, pinned, u, v, caps=caps, workers=workers)
@@ -250,21 +252,18 @@ def _cmd_expand(args) -> tuple[dict, list[VerificationReport], None]:
 
 
 def _cmd_verify_theorem(args) -> tuple[dict, list[VerificationReport], None]:
-    caps, workers = _settings(args)
-    g = _load_graph(args.graph)
-    u = _vertex(g, args.u)
-    v = _vertex(g, args.v)
+    caps, workers, g, u, v = _graph_pair(args)
     verdict, reports = verify_theorem(g, u, v, caps=caps, workers=workers)
     counts: dict[str, int] = {}
     for r in reports:
         counts[r.verdict] = counts.get(r.verdict, 0) + 1
+    inputs = {"graph": args.graph, "u": u, "v": v}
     summary = VerificationReport(
         check="theorem_summary",
         verdict=verdict,
-        inputs={"graph": args.graph, "u": u, "v": v},
+        inputs=inputs,
         quantities={"pinned_sets": 1 << g.vertex_count, "verdict_counts": counts},
     )
-    inputs = {"graph": args.graph, "u": u, "v": v}
     return inputs, [summary] + reports, None
 
 
@@ -320,10 +319,7 @@ def _cmd_line(args) -> tuple[dict, list[VerificationReport], None]:
 
 
 def _cmd_mc(args) -> tuple[dict, list[VerificationReport], None]:
-    caps, workers = _settings(args)
-    g = _load_graph(args.graph)
-    u = _vertex(g, args.u)
-    v = _vertex(g, args.v)
+    caps, workers, g, u, v = _graph_pair(args)
     pinned = _parse_pinned(g, args.pinned)
     p = _parse_fraction(args.p, "--p")
     if not 0 <= p <= 1:
@@ -373,10 +369,7 @@ def _cmd_mc(args) -> tuple[dict, list[VerificationReport], None]:
 
 
 def _cmd_geodesic(args) -> tuple[dict, list[VerificationReport], None]:
-    caps, workers = _settings(args)
-    g = _load_graph(args.graph)
-    u = _vertex(g, args.u)
-    v = _vertex(g, args.v)
+    caps, workers, g, u, v = _graph_pair(args)
     result = geodesic_check(g, u, v, caps=caps, workers=workers)
     inputs = {"graph": args.graph, "u": u, "v": v}
     return inputs, [VerificationReport(
@@ -401,11 +394,6 @@ _HANDLERS = {
 }
 
 
-def _exit_code(reports: list[VerificationReport]) -> int:
-    worst = aggregate_verdict(r.verdict for r in reports)
-    return 1 if worst == FAIL else 0
-
-
 def _verbose_table(reports: list[VerificationReport]) -> str:
     lines = []
     width = max((len(r.check) for r in reports), default=0)
@@ -414,15 +402,17 @@ def _verbose_table(reports: list[VerificationReport]) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser, once per process: every build leaves strings behind."""
+    return build_parser()
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         inputs, reports, raw_output = _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
+    except (UsageError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if raw_output is not None:
@@ -433,10 +423,10 @@ def run(argv: Optional[list[str]] = None) -> int:
             "inputs": encode_value(inputs),
             "reports": [r.to_json_obj() for r in reports],
         }
-        sys.stdout.write(canonical_json(envelope) + "\n")
+        sys.stdout.write(dump_json(envelope) + "\n")
     if args.verbose:
         print(_verbose_table(reports), file=sys.stderr)
-    return _exit_code(reports)
+    return 1 if aggregate_verdict(r.verdict for r in reports) == FAIL else 0
 
 
 def main() -> None:

@@ -89,6 +89,35 @@ def _weight_masks(lanes: int) -> list[int]:
     return masks
 
 
+def _shard_reach(num_vertices: int, base_pairs, items, sources):
+    """The lane layout of the kernel, shared with the up/down model.
+
+    Returns L, the number of items whose settings are the bits of one
+    2^L-bit lane, and a function from a prefix shard (the settings of
+    the other items) to the reach lanes of each source in that shard.
+    """
+    lanes = min(len(items), _LANE_BITS)
+    full = (1 << (1 << lanes)) - 1
+    lane_edges = [(a, b, full) for a, b in base_pairs]
+    for (edges0, edges1), ones in zip(items, _item_lanes(lanes, full)):
+        lane_edges += [(a, b, full ^ ones) for a, b in edges0]
+        lane_edges += [(a, b, ones) for a, b in edges1]
+    fixed = items[lanes:]
+
+    def reach_of(prefix: int) -> dict[int, list[int]]:
+        edges = list(lane_edges)
+        for i, item in enumerate(fixed):
+            edges += [(a, b, full) for a, b in item[(prefix >> i) & 1]]
+        reach = {}
+        for s in sources:
+            reach[s] = [0] * num_vertices
+            reach[s][s] = full
+            _spread(reach[s], edges)
+        return reach
+
+    return lanes, reach_of
+
+
 def connection_counts(
     num_vertices: int,
     base_pairs,
@@ -107,26 +136,13 @@ def connection_counts(
     items = [tuple(map(tuple, item)) for item in items]
     queries = [tuple(query) for query in queries]
     k = len(items)
-    lanes = min(k, _LANE_BITS)
+    sources = sorted({a for query in queries for a, _ in query})
+    lanes, reach_of = _shard_reach(num_vertices, base_pairs, items, sources)
     full = (1 << (1 << lanes)) - 1
     weights = _weight_masks(lanes)
 
-    lane_edges = [(a, b, full) for a, b in base_pairs]
-    for (edges0, edges1), ones in zip(items, _item_lanes(lanes, full)):
-        lane_edges += [(a, b, full ^ ones) for a, b in edges0]
-        lane_edges += [(a, b, ones) for a, b in edges1]
-    fixed = items[lanes:]
-    sources = sorted({a for query in queries for a, _ in query})
-
     def shard(prefix: int) -> list[list[int]]:
-        edges = list(lane_edges)
-        for i, item in enumerate(fixed):
-            edges += [(a, b, full) for a, b in item[(prefix >> i) & 1]]
-        reach = {}
-        for s in sources:
-            reach[s] = [0] * num_vertices
-            reach[s][s] = full
-            _spread(reach[s], edges)
+        reach = reach_of(prefix)
         rows = []
         for query in queries:
             sat = full

@@ -205,10 +205,6 @@ class RationalPoly:
             "coefficients": [format_fraction(c) for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RationalPoly":
-        return cls([Fraction(c) for c in obj["coefficients"]], obj["variable"])
-
     def __repr__(self) -> str:
         return f"RationalPoly({[str(c) for c in self.coeffs]}, {self.var!r})"
 

@@ -55,7 +55,12 @@ def encode_value(value):
 
 
 def canonical_json(value) -> str:
-    return json.dumps(encode_value(value), sort_keys=True, separators=(",", ":"))
+    return dump_json(encode_value(value))
+
+
+def dump_json(lowered) -> str:
+    """Canonical text of data that encode_value has already lowered."""
+    return json.dumps(lowered, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass

@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .enumeration import Caps, DEFAULT_CAPS, CapExceededError
+from . import enumeration
+from .enumeration import Caps, DEFAULT_CAPS, CapExceededError, _item_lanes
 from .exact import (
     connected_avoiding,
     counts_to_polynomial,
@@ -147,30 +148,150 @@ def classify(
     return DistanceClass.AT_LEAST_TWO, d
 
 
-def _updown_arena(model: ReducedModel, caps: Caps):
-    g = model.graph
-    index = {}
-    for i, v in enumerate(g.vertices):
-        index[(v, 0)] = 2 * i
-        index[(v, 1)] = 2 * i + 1
-    parent = list(range(2 * g.vertex_count))
-    for v in model.pinned:
-        a, b = index[(v, 0)], index[(v, 1)]
-        parent[b] = a
-    domain = [(eid, a, b) for eid, a, b in g.edges if a != b]
+def _domain(rg: Multigraph, caps: Caps) -> tuple[dict, list]:
+    """Vertex indices of a reduced graph and its (id, a, b) non-loop edges.
+
+    Bit i of an up/down assignment chooses UP for edge i of the domain.
+    """
+    index = {x: r for r, x in enumerate(rg.vertices)}
+    domain = [(eid, index[a], index[b]) for eid, a, b in rg.edges if a != b]
     if len(domain) > caps.max_updown_bits:
         raise CapExceededError(
             f"up-down enumeration needs 2^{len(domain)} assignments; "
             f"raise max_updown_bits to at least {len(domain)} "
             f"(currently {caps.max_updown_bits})"
         )
-    return index, parent, domain
+    return index, domain
 
 
-def _root(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        x = parent[x]
-    return x
+def _f_parts(n: int, pu: int, pv: int, domain: list, pinned: Optional[int]):
+    """Yield the f lanes of the up/down model, 2^min(k, _LANE_BITS) bits a part.
+
+    Vertex r has bunkbed copies 2r and 2r + 1.  The kernel's items are
+    the k = |domain| edges (lower copy on bit 0, upper on bit 1) and, if
+    pinned is None, the n posts above them; else the pinned posts are
+    always open.  Spreads from both copies of u give A = u0~v0, B = u1~v1,
+    C = u0~v1, D = u1~v0, so f = A + B - C - D.  Parts come in assignment
+    order: image set P owns the 2^k bits from P << k on.
+    """
+    items = [(((2 * a, 2 * b),), ((2 * a + 1, 2 * b + 1),)) for _, a, b in domain]
+    posts = [(2 * r, 2 * r + 1) for r in range(n)]
+    if pinned is None:
+        items += [((), (post,)) for post in posts]
+        base = []
+    else:
+        base = [post for r, post in enumerate(posts) if (pinned >> r) & 1]
+    u0, u1, v0, v1 = 2 * pu, 2 * pu + 1, 2 * pv, 2 * pv + 1
+    lanes, reach_of = enumeration._shard_reach(2 * n, base, items, (u0, u1))
+    width = 1 << min(len(domain), lanes)
+    mask = (1 << width) - 1
+    for prefix in range(1 << (len(items) - lanes)):
+        reach = reach_of(prefix)
+        f = (reach[u0][v0], reach[u1][v1], reach[u0][v1], reach[u1][v0])
+        for shift in range(0, 1 << lanes, width):
+            yield tuple(x >> shift & mask for x in f)
+
+
+def _sum4(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """Bitwise a + b + c + d as three bit lanes, lowest first."""
+    s1, c1, s2, c2 = a ^ b, a & b, c ^ d, c & d
+    carry = s1 & s2
+    return s1 ^ s2, c1 ^ c2 ^ carry, c1 & c2 | carry & (c1 ^ c2)
+
+
+def _below(a: int, b: int, c: int, d: int) -> int:
+    """Bits where f < 0, that is where c + d > a + b as two-bit sums."""
+    return c & d & ~(a & b) | (c ^ d) & ~(a ^ b) & ~(c & d ^ a & b)
+
+
+def _negates(parts: list, flip: int, w: int) -> bool:
+    """f(x ^ flip) == -f(x) at every assignment x of one block.
+
+    Parts have 2^w bits.  The low w bits of flip permute within a part,
+    each flipped bit swapping sub-blocks; the high bits pair up parts.
+    """
+    if all(a ^ b == c ^ d and a & b == c & d for a, b, c, d in parts):
+        return True  # f is zero at every x, so every flip negates it
+    items = _item_lanes(w, (1 << (1 << w)) - 1)
+    low, high = flip & ((1 << w) - 1), flip >> w
+    for h, (a, b, c, d) in enumerate(parts):
+        mirror = []
+        for x in parts[h ^ high]:
+            for i, ones in enumerate(items):
+                if (low >> i) & 1:
+                    x = (x & ones) >> (1 << i) | (x << (1 << i)) & ones
+            mirror.append(x)
+        if _sum4(a, b, *mirror[:2]) != _sum4(c, d, *mirror[2:]):
+            return False
+    return True
+
+
+class _Outcome(NamedTuple):
+    """Up/down model of one reduced graph under one pinned-image set."""
+
+    cls: DistanceClass
+    total: int  # sum of f over the assignments
+    factor: Fraction  # total / 2^(|domain| + 1)
+    side: int  # vertices reachable from the u image avoiding pinned images
+    flip: int  # domain edges with no end on that side
+    negative: bool  # AT_MOST_ONE only: some f < 0
+    negates: bool  # UNREACHABLE only: the flip negates f everywhere
+
+
+def _outcomes(
+    n: int, pu: int, pv: int, domain: list, pinned: Optional[int]
+) -> list[_Outcome]:
+    """Class, f-sum, factor and checks for every image set of _f_parts.
+
+    The class matches classify: unreachable when the v image is off the
+    pinned-free side of the u image, at most one when the images are
+    equal or adjacent, at least two otherwise.
+    """
+    k = len(domain)
+    w = min(k, enumeration._LANE_BITS)
+    adjacent = [0] * n
+    for _, a, b in domain:
+        adjacent[a] |= 1 << b
+        adjacent[b] |= 1 << a
+    parts = _f_parts(n, pu, pv, domain, pinned)
+    out: list[_Outcome] = []
+    seen: dict = {}  # many image sets share one outcome; keep one copy
+    # 2^(k - w) consecutive parts make up the block of one image set
+    for code, block in enumerate(zip(*[parts] * (1 << (k - w)))):
+        blocked = code if pinned is None else pinned
+        side = grown = 0 if (blocked >> pu) & 1 else 1 << pu
+        while grown:
+            side |= grown
+            near = 0
+            for r in range(n):
+                if (grown >> r) & 1:
+                    near |= adjacent[r]
+            grown = near & ~(side | blocked)
+        total = sum(a.bit_count() + b.bit_count() - c.bit_count() - d.bit_count()
+                    for a, b, c, d in block)
+        flip, negative, negates = 0, False, True
+        if not (side >> pv) & 1:
+            cls = DistanceClass.UNREACHABLE
+            for i, (_, a, b) in enumerate(domain):
+                if not ((side >> a) | (side >> b)) & 1:
+                    flip |= 1 << i
+            negates = _negates(block, flip, w)
+        elif pu == pv or (adjacent[pu] >> pv) & 1:
+            cls = DistanceClass.AT_MOST_ONE
+            negative = any(_below(*part) for part in block)
+        else:
+            cls = DistanceClass.AT_LEAST_TWO
+        outcome = _Outcome(cls, total, Fraction(total, 2 << k), side, flip,
+                           negative, negates)
+        out.append(seen.setdefault(outcome, outcome))
+    return out
+
+
+def _model_args(model: ReducedModel, caps: Caps) -> tuple[list, tuple]:
+    """Domain of a model and its _f_parts/_outcomes arguments, posts fixed."""
+    index, domain = _domain(model.graph, caps)
+    pinned = sum(1 << index[x] for x in model.pinned)
+    return domain, (len(index), index[model.pu], index[model.pv], domain, pinned)
 
 
 def updown_difference(
@@ -192,8 +313,8 @@ def updown_difference(
     levels of every edge preserves the measure, so this is half the mean
     of the symmetrized indicator from updown_f_values.
     """
-    domain, values = updown_f_values(g, s, t, u, v, caps=caps, model=model)
-    return Fraction(sum(values), 1 << (len(domain) + 1))
+    model = model if model is not None else reduced_model(g, s, t, u, v)
+    return _outcomes(*_model_args(model, caps)[1])[0].factor
 
 
 def updown_f_values(
@@ -214,26 +335,12 @@ def updown_f_values(
     - [top-to-bottom] between the endpoint images.
     """
     model = model if model is not None else reduced_model(g, s, t, u, v)
-    index, base_parent, domain = _updown_arena(model, caps)
-    pu0 = index[(model.pu, 0)]
-    pu1 = index[(model.pu, 1)]
-    pv0 = index[(model.pv, 0)]
-    pv1 = index[(model.pv, 1)]
-    k = len(domain)
-    values = []
-    for mask in range(1 << k):
-        parent = list(base_parent)
-        for i, (_, a, b) in enumerate(domain):
-            level = (mask >> i) & 1
-            ra = _root(parent, index[(a, level)])
-            rb = _root(parent, index[(b, level)])
-            if ra != rb:
-                parent[rb] = ra
-        ru0 = _root(parent, pu0)
-        ru1 = _root(parent, pu1)
-        rv0 = _root(parent, pv0)
-        rv1 = _root(parent, pv1)
-        values.append((ru0 == rv0) + (ru1 == rv1) - (ru0 == rv1) - (ru1 == rv0))
+    domain, args = _model_args(model, caps)
+    values = [
+        ((a >> m) & 1) + ((b >> m) & 1) - ((c >> m) & 1) - ((d >> m) & 1)
+        for a, b, c, d in _f_parts(*args)
+        for m in range(1 << min(len(domain), enumeration._LANE_BITS))
+    ]
     return tuple(eid for eid, _, _ in domain), values
 
 
@@ -256,16 +363,6 @@ class TripartitionTable:
             reduced.append(rg)
             projections.append(projection)
         return cls(g, tripartitions, reduced, projections)
-
-    def model(self, i: int, t: frozenset, u: Vertex, v: Vertex) -> ReducedModel:
-        projection = self.projections[i]
-        return ReducedModel(
-            graph=self.reduced[i],
-            projection=projection,
-            pu=projection[u],
-            pv=projection[v],
-            pinned=frozenset(projection[w] for w in t),
-        )
 
 
 @dataclass
@@ -301,111 +398,94 @@ def analyze_tripartitions(
     has weight 2^|one_open| p^j (1-p)^(2|E|-j) with j = |one_open| +
     2 |both_open|.  They become polynomials once, at the end.
     """
-    t = frozenset(t)
-    g.require_vertex(u)
-    g.require_vertex(v)
-    for w in t:
-        g.require_vertex(w)
-    if table is None:
-        table = TripartitionTable.build(g, caps)
+    return next(_analyses(g, u, v, [frozenset(t)], caps, table))
 
-    bits = 2 * g.edge_count
-    class_counts = {cls: 0 for cls in DistanceClass}
+
+def _analyses(
+    g: Multigraph,
+    u: Vertex,
+    v: Vertex,
+    sets: list[frozenset],
+    caps: Caps,
+    table: Optional[TripartitionTable],
+) -> Iterator[TripartitionAnalysis]:
+    """One lane pass per tripartition, then the analysis of each pinned set.
+
+    A single pinned set gets fixed post lanes; several share one pass
+    over every pinned-image set.  Each (tripartition, image set) is
+    solved once however many pinned sets project onto it, and the
+    analyses are built lazily, one pinned set at a time.
+    """
+    for w in (u, v, *sets[0]):
+        g.require_vertex(w)
+    table = table if table is not None else TripartitionTable.build(g, caps)
+    domains = [_domain(rg, caps) for rg in table.reduced]  # every cap, no lane yet
+    passes = []
+    for (index, domain), projection in zip(domains, table.projections):
+        images = {w: 1 << index[projection[w]] for w in g.vertices}
+        ends = (len(index), index[projection[u]], index[projection[v]], domain)
+        if len(sets) > 1:
+            passes.append((images, _outcomes(*ends, None)))
+        else:
+            fixed = _image(images, sets[0])
+            passes.append((images, {fixed: _outcomes(*ends, fixed)[0]}))
+    for t in sets:
+        outcomes = [results[_image(images, t)] for images, results in passes]
+        yield _analysis(table, domains, outcomes)
+
+
+def _image(images: dict, t: frozenset) -> int:
+    """Bitmask of the reduced vertices that the pinned set projects onto."""
+    bits = 0
+    for w in t:
+        bits |= images[w]
+    return bits
+
+
+def _analysis(
+    table: TripartitionTable, domains: list, outcomes: list[_Outcome]
+) -> TripartitionAnalysis:
+    """Fold one outcome per tripartition into masses, factors and failures."""
+    bits = 2 * table.graph.edge_count
     class_mass = {cls: [0] * (bits + 1) for cls in DistanceClass}
     expansion = [0] * (bits + 1)
-    factors: list[Fraction] = []
-    classes: list[DistanceClass] = []
-    min_factor: Optional[Fraction] = None
-    min_factor_witness: Optional[Tripartition] = None
-    safe_failures: list[Tripartition] = []
-    stated_failures: list[Tripartition] = []
-    pointwise_failures: list[Tripartition] = []
-    mirror_failures: list[Tripartition] = []
-
-    for i, s in enumerate(table.tripartitions):
-        model = table.model(i, t, u, v)
-        cls, _ = classify(g, s, t, u, v, model=model)
+    for s, (_, domain), out in zip(table.tripartitions, domains, outcomes):
         ones = len(s.one_open)
         j = ones + 2 * len(s.both_open)
-        class_counts[cls] += 1
-        class_mass[cls][j] += 1 << ones
-
-        domain, f_values = updown_f_values(g, s, t, u, v, caps=caps, model=model)
-        total = sum(f_values)
-        factor = Fraction(total, 1 << (len(domain) + 1))
-        factors.append(factor)
-        classes.append(cls)
+        class_mass[out.cls][j] += 1 << ones
         # factor * 2^ones = (total / 2) * 2^(ones - |domain|), an integer:
         # the domain is the non-loop part of one_open, and total is even
         # because flipping every edge's level maps a mask to its
         # complement without changing f.
-        expansion[j] += (total >> 1) << (ones - len(domain))
+        expansion[j] += (out.total >> 1) << (ones - len(domain))
 
-        if cls is DistanceClass.UNREACHABLE:
-            flip, _ = _mirror_flip(model, domain)
-            if factor != 0 or not _mirror_holds(f_values, flip):
-                mirror_failures.append(s)
-        elif cls is DistanceClass.AT_MOST_ONE:
-            if min_factor is None or factor < min_factor:
-                min_factor = factor
-                min_factor_witness = s
-            if any(value < 0 for value in f_values):
-                pointwise_failures.append(s)
-            if factor < Fraction(1, 2 ** len(s.one_open)):
-                safe_failures.append(s)
-            if factor < Fraction(2, 2 ** len(s.one_open)):
-                stated_failures.append(s)
-
+    rows = list(zip(table.tripartitions, outcomes))
+    short = [(s, out) for s, out in rows if out.cls is DistanceClass.AT_MOST_ONE]
+    # min keeps the first tripartition of least factor
+    witness, lowest = min(short, key=lambda row: row[1].factor, default=(None, None))
+    classes = [out.cls for out in outcomes]
     return TripartitionAnalysis(
-        class_counts={cls.value: n for cls, n in class_counts.items()},
+        class_counts={cls.value: classes.count(cls) for cls in DistanceClass},
         class_mass={
             cls.value: counts_to_polynomial(m, bits) for cls, m in class_mass.items()
         },
         expansion_sum=counts_to_polynomial(expansion, bits),
-        factors=factors,
+        factors=[out.factor for out in outcomes],
         classes=classes,
-        min_factor=min_factor,
-        min_factor_witness=min_factor_witness,
-        safe_bound_failures=safe_failures,
-        stated_bound_failures=stated_failures,
-        pointwise_failures=pointwise_failures,
-        mirror_failures=mirror_failures,
+        min_factor=lowest.factor if short else None,
+        min_factor_witness=witness,
+        safe_bound_failures=[
+            s for s, out in short if out.factor < Fraction(1, 2 ** len(s.one_open))
+        ],
+        stated_bound_failures=[
+            s for s, out in short if out.factor < Fraction(2, 2 ** len(s.one_open))
+        ],
+        pointwise_failures=[s for s, out in short if out.negative],
+        mirror_failures=[
+            s for s, out in rows
+            if out.cls is DistanceClass.UNREACHABLE and (out.total or not out.negates)
+        ],
     )
-
-
-def _pinned_free_side(model: ReducedModel) -> set:
-    """Vertices reachable from the u image without touching a pinned vertex."""
-    if model.pu in model.pinned:
-        return set()
-    side = {model.pu}
-    stack = [model.pu]
-    while stack:
-        x = stack.pop()
-        for y, _ in model.graph.adjacency[x]:
-            if y in model.pinned or y in side:
-                continue
-            side.add(y)
-            stack.append(y)
-    return side
-
-
-def _mirror_flip(model: ReducedModel, domain: tuple) -> tuple[int, list]:
-    """Mask bits and ids of the domain edges with no end on the u side."""
-    side = _pinned_free_side(model)
-    endpoints = model.graph.endpoints
-    flip = 0
-    flipped_ids = []
-    for i, eid in enumerate(domain):
-        a, b = endpoints[eid]
-        if a not in side and b not in side:
-            flip |= 1 << i
-            flipped_ids.append(eid)
-    return flip, flipped_ids
-
-
-def _mirror_holds(f_values: list[int], flip: int) -> bool:
-    """Flipping the edges in the flip mask negates f pointwise."""
-    return all(f_values[mask ^ flip] == -value for mask, value in enumerate(f_values))
 
 
 def mirroring_involution_check(
@@ -432,39 +512,34 @@ def mirroring_involution_check(
         raise ValueError(
             "mirroring involution applies only to unreachable tripartitions"
         )
-    domain, f_values = updown_f_values(g, s, t, u, v, caps=caps, model=model)
-    factor = Fraction(sum(f_values), 1 << (len(domain) + 1))
-    flip, flipped_ids = _mirror_flip(model, domain)
-    negates = _mirror_holds(f_values, flip)
-    involution = all((m ^ flip) ^ flip == m for m in range(len(f_values)))
-    verdict = PASS if (negates and involution and factor == 0) else FAIL
-    inputs = {
-        "graph": _graph_inputs(g),
-        "tripartition": s,
-        "pinned": sorted(map(str, t)),
-        "u": str(u),
-        "v": str(v),
-    }
+    domain, args = _model_args(model, caps)
+    out = _outcomes(*args)[0]
+    flip = out.flip
+    involution = all((m ^ flip) ^ flip == m for m in range(1 << len(domain)))
+    verdict = PASS if (out.negates and involution and out.factor == 0) else FAIL
     return VerificationReport(
         check="mirroring_involution",
         verdict=verdict,
-        inputs=inputs,
+        inputs={**_inputs(g, t, u, v), "tripartition": s},
         quantities={
-            "factor": factor,
-            "flip_negates": negates,
+            "factor": out.factor,
+            "flip_negates": out.negates,
             "is_involution": involution,
-            "u_side_size": len(_pinned_free_side(model)),
-            "flipped_edges": sorted(flipped_ids),
+            "u_side_size": out.side.bit_count(),
+            "flipped_edges": sorted(
+                eid for i, (eid, _, _) in enumerate(domain) if (flip >> i) & 1
+            ),
         },
         witnesses={},
     )
 
 
-def _graph_inputs(g: Multigraph) -> dict:
-    return {
-        "vertices": [str(v) for v in g.vertices],
+def _inputs(g: Multigraph, t: frozenset, u: Vertex, v: Vertex) -> dict:
+    graph = {
+        "vertices": [str(x) for x in g.vertices],
         "edges": [[eid, str(a), str(b)] for eid, a, b in g.edges],
     }
+    return {"graph": graph, "pinned": sorted(map(str, t)), "u": str(u), "v": str(v)}
 
 
 def expansion_identity_check(
@@ -488,16 +563,10 @@ def expansion_identity_check(
             g, u, v, pinned=t, caps=caps, workers=workers
         )
     equal = difference == analysis.expansion_sum
-    inputs = {
-        "graph": _graph_inputs(g),
-        "pinned": sorted(map(str, t)),
-        "u": str(u),
-        "v": str(v),
-    }
     return VerificationReport(
         check="expansion_identity",
         verdict=PASS if equal else FAIL,
-        inputs=inputs,
+        inputs=_inputs(g, t, u, v),
         quantities={
             "difference": difference,
             "expansion_sum": analysis.expansion_sum,
@@ -578,16 +647,10 @@ def bound_report(
     else:
         verdict = PASS
 
-    inputs = {
-        "graph": _graph_inputs(g),
-        "pinned": sorted(map(str, t)),
-        "u": str(u),
-        "v": str(v),
-    }
     return VerificationReport(
         check="tripartition_bounds",
         verdict=verdict,
-        inputs=inputs,
+        inputs=_inputs(g, t, u, v),
         quantities={
             "p0": p0,
             "class_counts": analysis.class_counts,
@@ -640,16 +703,10 @@ def theorem_sign_check(
     value = difference.evaluate(p0)
     connected = connected_avoiding(g, u, v, t)
     ok = value >= 0 and ((value > 0) == connected)
-    inputs = {
-        "graph": _graph_inputs(g),
-        "pinned": sorted(map(str, t)),
-        "u": str(u),
-        "v": str(v),
-    }
     return VerificationReport(
         check="difference_sign",
         verdict=PASS if ok else FAIL,
-        inputs=inputs,
+        inputs=_inputs(g, t, u, v),
         quantities={
             "p0": p0,
             "difference_at_p0": value,
@@ -672,19 +729,23 @@ def verify_conditioning(
     """Expansion, bounds, and sign reports for one pinned set."""
     t = frozenset(t)
     analysis = analyze_tripartitions(g, t, u, v, caps=caps, table=table)
+    return _conditioning_reports(g, t, u, v, analysis, caps, workers)
+
+
+def _conditioning_reports(
+    g: Multigraph,
+    t: frozenset,
+    u: Vertex,
+    v: Vertex,
+    analysis: TripartitionAnalysis,
+    caps: Caps,
+    workers: int,
+) -> list[VerificationReport]:
     difference = difference_polynomial(g, u, v, pinned=t, caps=caps, workers=workers)
     return [
-        expansion_identity_check(
-            g, t, u, v, caps=caps, workers=workers,
-            analysis=analysis, difference=difference,
-        ),
-        bound_report(
-            g, t, u, v, caps=caps, workers=workers,
-            analysis=analysis, difference=difference,
-        ),
-        theorem_sign_check(
-            g, t, u, v, caps=caps, workers=workers, difference=difference
-        ),
+        expansion_identity_check(g, t, u, v, analysis=analysis, difference=difference),
+        bound_report(g, t, u, v, analysis=analysis, difference=difference),
+        theorem_sign_check(g, t, u, v, difference=difference),
     ]
 
 
@@ -698,15 +759,12 @@ def verify_theorem(
     table: Optional[TripartitionTable] = None,
 ) -> tuple[str, list[VerificationReport]]:
     """Run every per-conditioning check over all subsets of the vertices."""
-    if table is None:
-        table = TripartitionTable.build(g, caps)
-    reports: list[VerificationReport] = []
     n = g.vertex_count
-    for code in range(1 << n):
-        t = frozenset(
-            g.vertices[i] for i in range(n) if (code >> i) & 1
-        )
-        reports.extend(
-            verify_conditioning(g, t, u, v, caps=caps, workers=workers, table=table)
-        )
+    sets = [
+        frozenset(g.vertices[i] for i in range(n) if (code >> i) & 1)
+        for code in range(1 << n)
+    ]
+    reports: list[VerificationReport] = []
+    for t, analysis in zip(sets, _analyses(g, u, v, sets, caps, table)):
+        reports.extend(_conditioning_reports(g, t, u, v, analysis, caps, workers))
     return aggregate_verdict(r.verdict for r in reports), reports

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -247,6 +248,36 @@ class TestDeterminism:
         _, second, _ = run_cli(capsys, argv)
         assert first == second
 
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch, k2_file, path4_file):
+        import bunkbed.cli
+
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        build = bunkbed.cli.build_parser
+        monkeypatch.setattr(bunkbed.cli, "build_parser", counted)
+        monkeypatch.setattr(
+            bunkbed.cli, "_parser", functools.cache(bunkbed.cli._parser.__wrapped__)
+        )
+        invocations = [
+            ["verify-theorem", "--graph", path4_file, "--u", "a", "--v", "c"],
+            ["verify-theorem", "--graph", path4_file, "--u", "a", "--v", "e"],
+            ["expand", "--graph", k2_file, "--u", "u", "--v", "v", "--pinned", "u"],
+            ["line", "--n", "3", "--gap", "--series"],
+        ]
+        first = [run_cli(capsys, argv) for argv in invocations]
+        again = [run_cli(capsys, argv) for argv in invocations]
+        assert again == first
+        assert [code for code, _, _ in first] == [0, 1, 0, 0]
+        assert len(builds) == 1
+        for _, out, _ in first:
+            # The envelope is dumped once, in canonical form.
+            canonical = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+            assert out == canonical + "\n"
+
 
 class TestEnvironmentOverrides:
     def test_env_cap_applies(self, capsys, path4_file, monkeypatch):
@@ -306,3 +337,15 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "exact"
+
+    def test_star_import_gives_the_public_names(self):
+        import types
+
+        import bunkbed
+
+        names: dict = {}
+        exec("from bunkbed import *", names)
+        del names["__builtins__"]
+        assert sorted(names) == bunkbed.__all__
+        assert {"verify_theorem", "RationalPoly", "Caps"} <= set(names)
+        assert not [n for n, value in names.items() if isinstance(value, types.ModuleType)]

@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bunkbed import (
     CapExceededError,
@@ -15,6 +17,7 @@ from bunkbed import (
     DISCREPANCY,
     DistanceClass,
     FAIL,
+    Multigraph,
     PASS,
     RationalPoly,
     Tripartition,
@@ -38,43 +41,189 @@ from bunkbed import (
     verify_conditioning,
     verify_theorem,
 )
-from bunkbed.tripartitions import _updown_arena
+import bunkbed.enumeration
+import bunkbed.tripartitions
+from bunkbed.tripartitions import (
+    ReducedModel,
+    TripartitionAnalysis,
+    _analyses,
+    _below,
+    _negates,
+)
+from conftest import FAMILY_TEXT, SIX_VERTEX_TEXT
 
 poly = lambda coeffs: RationalPoly(coeffs, VAR_P)
+
+PATH5_TEXT = "a b\nb c\nc d\nd e\ne f"
+
+
+# Reference oracles: the per-mask union-find and the per-pinned-set loop
+# the library ran before it solved every tripartition on bit lanes.
+
+
+def _updown_arena(model, caps):
+    g = model.graph
+    index = {}
+    for i, v in enumerate(g.vertices):
+        index[(v, 0)] = 2 * i
+        index[(v, 1)] = 2 * i + 1
+    parent = list(range(2 * g.vertex_count))
+    for v in model.pinned:
+        a, b = index[(v, 0)], index[(v, 1)]
+        parent[b] = a
+    domain = [(eid, a, b) for eid, a, b in g.edges if a != b]
+    if len(domain) > caps.max_updown_bits:
+        raise CapExceededError(f"up-down enumeration needs 2^{len(domain)} assignments")
+    return index, parent, domain
+
+
+def _root(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _table_model(table, i, t, u, v) -> ReducedModel:
+    projection = table.projections[i]
+    return ReducedModel(
+        graph=table.reduced[i],
+        projection=projection,
+        pu=projection[u],
+        pv=projection[v],
+        pinned=frozenset(projection[w] for w in t),
+    )
+
+
+def reference_updown_f_values(g, s, t, u, v, *, caps=DEFAULT_CAPS, model=None):
+    """Domain ids and the symmetrized indicator per mask, by union-find."""
+    model = model if model is not None else reduced_model(g, s, t, u, v)
+    index, base_parent, domain = _updown_arena(model, caps)
+    pu0 = index[(model.pu, 0)]
+    pu1 = index[(model.pu, 1)]
+    pv0 = index[(model.pv, 0)]
+    pv1 = index[(model.pv, 1)]
+    values = []
+    for mask in range(1 << len(domain)):
+        parent = list(base_parent)
+        for i, (_, a, b) in enumerate(domain):
+            level = (mask >> i) & 1
+            ra = _root(parent, index[(a, level)])
+            rb = _root(parent, index[(b, level)])
+            if ra != rb:
+                parent[rb] = ra
+        ru0 = _root(parent, pu0)
+        ru1 = _root(parent, pu1)
+        rv0 = _root(parent, pv0)
+        rv1 = _root(parent, pv1)
+        values.append((ru0 == rv0) + (ru1 == rv1) - (ru0 == rv1) - (ru1 == rv0))
+    return tuple(eid for eid, _, _ in domain), values
+
+
+def _pinned_free_side(model) -> set:
+    if model.pu in model.pinned:
+        return set()
+    side = {model.pu}
+    stack = [model.pu]
+    while stack:
+        x = stack.pop()
+        for y, _ in model.graph.adjacency[x]:
+            if y in model.pinned or y in side:
+                continue
+            side.add(y)
+            stack.append(y)
+    return side
+
+
+def _mirror_flip(model, domain) -> int:
+    side = _pinned_free_side(model)
+    flip = 0
+    for i, eid in enumerate(domain):
+        a, b = model.graph.endpoints[eid]
+        if a not in side and b not in side:
+            flip |= 1 << i
+    return flip
+
+
+def reference_analyze_tripartitions(g, t, u, v, *, caps=DEFAULT_CAPS, table=None):
+    """The per-pinned-set, per-tripartition loop over the union-find oracle."""
+    t = frozenset(t)
+    if table is None:
+        table = TripartitionTable.build(g, caps)
+    bits = 2 * g.edge_count
+    class_counts = {cls: 0 for cls in DistanceClass}
+    class_mass = {cls: [0] * (bits + 1) for cls in DistanceClass}
+    expansion = [0] * (bits + 1)
+    factors, classes = [], []
+    min_factor = min_factor_witness = None
+    safe, stated, pointwise, mirror = [], [], [], []
+    for i, s in enumerate(table.tripartitions):
+        model = _table_model(table, i, t, u, v)
+        cls, _ = classify(g, s, t, u, v, model=model)
+        ones = len(s.one_open)
+        j = ones + 2 * len(s.both_open)
+        class_counts[cls] += 1
+        class_mass[cls][j] += 1 << ones
+        domain, f_values = reference_updown_f_values(g, s, t, u, v, caps=caps, model=model)
+        total = sum(f_values)
+        factor = Fraction(total, 1 << (len(domain) + 1))
+        factors.append(factor)
+        classes.append(cls)
+        expansion[j] += (total >> 1) << (ones - len(domain))
+        if cls is DistanceClass.UNREACHABLE:
+            flip = _mirror_flip(model, domain)
+            holds = all(f_values[m ^ flip] == -f for m, f in enumerate(f_values))
+            if factor != 0 or not holds:
+                mirror.append(s)
+        elif cls is DistanceClass.AT_MOST_ONE:
+            if min_factor is None or factor < min_factor:
+                min_factor, min_factor_witness = factor, s
+            if any(f < 0 for f in f_values):
+                pointwise.append(s)
+            if factor < Fraction(1, 2 ** ones):
+                safe.append(s)
+            if factor < Fraction(2, 2 ** ones):
+                stated.append(s)
+    return TripartitionAnalysis(
+        class_counts={cls.value: n for cls, n in class_counts.items()},
+        class_mass={
+            cls.value: counts_to_polynomial(m, bits) for cls, m in class_mass.items()
+        },
+        expansion_sum=counts_to_polynomial(expansion, bits),
+        factors=factors,
+        classes=classes,
+        min_factor=min_factor,
+        min_factor_witness=min_factor_witness,
+        safe_bound_failures=safe,
+        stated_bound_failures=stated,
+        pointwise_failures=pointwise,
+        mirror_failures=mirror,
+    )
 
 
 def reference_updown_difference(g, s, t, u, v, *, caps=DEFAULT_CAPS) -> Fraction:
     """Bottom-bottom minus bottom-top connection probability, per mask.
 
-    The union-find loop the library used before it derived the factor
-    from the symmetrized indicator of updown_f_values; it counts only
-    the two bottom-anchored events, so the two routes share nothing
-    past the reduced model and its index arena.
+    Counts only the two bottom-anchored events, so it shares nothing
+    with the symmetrized indicator past the reduced model and the
+    oracle's index arena.
     """
     model = reduced_model(g, s, t, u, v)
     index, base_parent, domain = _updown_arena(model, caps)
-
-    def root(parent, x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     pu0 = index[(model.pu, 0)]
     pv0 = index[(model.pv, 0)]
     pv1 = index[(model.pv, 1)]
-    k = len(domain)
     total = 0
-    for mask in range(1 << k):
+    for mask in range(1 << len(domain)):
         parent = list(base_parent)
         for i, (_, a, b) in enumerate(domain):
             level = (mask >> i) & 1
-            ra = root(parent, index[(a, level)])
-            rb = root(parent, index[(b, level)])
+            ra = _root(parent, index[(a, level)])
+            rb = _root(parent, index[(b, level)])
             if ra != rb:
                 parent[rb] = ra
-        ru = root(parent, pu0)
-        total += (ru == root(parent, pv0)) - (ru == root(parent, pv1))
-    return Fraction(total, 1 << k)
+        ru = _root(parent, pu0)
+        total += (ru == _root(parent, pv0)) - (ru == _root(parent, pv1))
+    return Fraction(total, 1 << len(domain))
 
 
 def _pinned_sets(g):
@@ -176,7 +325,7 @@ class TestFactors:
             x, y = g.vertices[0], g.vertices[-1]
             for t in _pinned_sets(g):
                 for i, s in enumerate(table.tripartitions):
-                    model = table.model(i, t, x, y)
+                    model = _table_model(table, i, t, x, y)
                     _, values = updown_f_values(g, s, t, x, y, model=model)
                     assert sum(values) % 2 == 0, (name, t, s)
 
@@ -393,3 +542,220 @@ class TestAnalysis:
         cached = analyze_tripartitions(g, frozenset(), "u", "w", table=table)
         assert direct.expansion_sum == cached.expansion_sum
         assert direct.class_counts == cached.class_counts
+
+
+def _lane_graphs():
+    graphs = {name: parse_edge_list(text) for name, text in FAMILY_TEXT.items()}
+    graphs["path5"] = parse_edge_list(PATH5_TEXT)
+    return graphs
+
+
+def _oracle_rows(g, u, v, table):
+    sets = list(_pinned_sets(g))
+    return sets, [reference_analyze_tripartitions(g, t, u, v, table=table) for t in sets]
+
+
+@pytest.fixture(scope="module")
+def lane_cases():
+    """Oracle analyses of every pair and pinned set of the family and path5."""
+    cases = []
+    for name, g in _lane_graphs().items():
+        table = TripartitionTable.build(g)
+        for u, v in itertools.combinations(g.vertices, 2):
+            sets, expected = _oracle_rows(g, u, v, table)
+            cases.append((name, g, table, u, v, sets, expected))
+    return cases
+
+
+def _batched(g, u, v, sets, table=None):
+    return list(_analyses(g, u, v, sets, DEFAULT_CAPS, table))
+
+
+class TestLanePass:
+    def test_batched_pass_matches_oracle(self, lane_cases):
+        for name, g, table, u, v, sets, expected in lane_cases:
+            assert _batched(g, u, v, sets, table) == expected, (name, u, v)
+
+    def test_single_pass_matches_oracle(self, lane_cases):
+        for name, g, table, u, v, sets, expected in lane_cases:
+            if name == "path5" and (u, v) != ("a", "f"):
+                continue  # the batched test covers every path5 pair
+            for t, analysis in zip(sets, expected):
+                got = analyze_tripartitions(g, t, u, v, table=table)
+                assert got == analysis, (name, u, v, sorted(t))
+
+    def test_six_vertex_matches_oracle(self):
+        g = parse_edge_list(SIX_VERTEX_TEXT)
+        table = TripartitionTable.build(g)
+        sets = [frozenset(), frozenset({"b", "e"}), frozenset(g.vertices)]
+        expected = [
+            reference_analyze_tripartitions(g, t, "u", "v", table=table) for t in sets
+        ]
+        for t, analysis in zip(sets, expected):
+            assert analyze_tripartitions(g, t, "u", "v", table=table) == analysis
+        assert _batched(g, "u", "v", sets, table) == expected
+
+    def test_f_values_match_oracle_per_mask(self, family):
+        for name in ("path4", "cycle4", "paw", "triangle_doubled", "chair"):
+            g = family[name]
+            x, y = g.vertices[0], g.vertices[-1]
+            for t in (frozenset(), frozenset({g.vertices[1]}), frozenset(g.vertices)):
+                for s in enumerate_tripartitions(g):
+                    got = updown_f_values(g, s, t, x, y)
+                    assert got == reference_updown_f_values(g, s, t, x, y), (name, t, s)
+
+    @pytest.mark.parametrize("lane_bits", [1, 2, 3])
+    def test_narrow_lanes_spill_into_outer_blocks(self, monkeypatch, family, lane_bits):
+        # Domain and post bits past the lane width are fixed per outer
+        # block; flip bits past it pair up parts of one block.
+        monkeypatch.setattr(bunkbed.enumeration, "_LANE_BITS", lane_bits)
+        for name, (u, v) in (("path4", ("a", "e")), ("path4", ("b", "d")),
+                             ("triangle_doubled", ("u", "w")), ("chair", ("a", "e"))):
+            g = family[name]
+            table = TripartitionTable.build(g)
+            sets, expected = _oracle_rows(g, u, v, table)
+            assert _batched(g, u, v, sets, table) == expected, (name, u, v)
+            for t, analysis in zip(sets[::5], expected[::5]):
+                assert analyze_tripartitions(g, t, u, v, table=table) == analysis
+            for s in table.tripartitions:
+                t = frozenset({g.vertices[2]})
+                got = updown_f_values(g, s, t, u, v)
+                assert got == reference_updown_f_values(g, s, t, u, v), (name, s)
+
+    def test_lane_checks_reach_the_analysis(self, monkeypatch, family):
+        # The pointwise and mirror checks never fail on real inputs, so
+        # force each lane check to fail and watch the analysis report it.
+        g = family["path2"]
+        monkeypatch.setattr(bunkbed.tripartitions, "_below", lambda *part: 1)
+        monkeypatch.setattr(bunkbed.tripartitions, "_negates", lambda *args: False)
+        for t in (frozenset(), frozenset({"b"})):
+            analysis = analyze_tripartitions(g, t, "a", "c")
+            (batched,) = [a for s, a in zip(_pinned_sets(g), _batched(
+                g, "a", "c", list(_pinned_sets(g)))) if s == t]
+            for got in (analysis, batched):
+                short = [s for s, cls in zip(enumerate_tripartitions(g), got.classes)
+                         if cls is DistanceClass.AT_MOST_ONE]
+                far_off = [s for s, cls in zip(enumerate_tripartitions(g), got.classes)
+                           if cls is DistanceClass.UNREACHABLE]
+                assert got.pointwise_failures == short
+                assert got.mirror_failures == far_off
+                assert short or far_off
+
+    def test_fold_applies_each_failure_rule(self, family):
+        # Outcomes no real input produces, one per rule of the fold: a
+        # nonzero total with a negating flip, a factor between the safe
+        # bound and a slightly weaker one, and a factor at the safe bound.
+        g = family["k2"]
+        table = TripartitionTable.build(g)
+        none, one, both = table.tripartitions
+        domains = [bunkbed.tripartitions._domain(rg, DEFAULT_CAPS) for rg in table.reduced]
+        outcome = bunkbed.tripartitions._Outcome
+        outcomes = [
+            outcome(DistanceClass.UNREACHABLE, 2, Fraction(1), 0, 0, False, True),
+            outcome(DistanceClass.AT_MOST_ONE, 1, Fraction(2, 5), 1, 0, True, True),
+            outcome(DistanceClass.AT_MOST_ONE, 2, Fraction(1), 1, 0, False, True),
+        ]
+        got = bunkbed.tripartitions._analysis(table, domains, outcomes)
+        assert got.mirror_failures == [none]
+        assert got.safe_bound_failures == [one]
+        assert got.stated_bound_failures == [one, both]
+        assert got.pointwise_failures == [one]
+        assert (got.min_factor, got.min_factor_witness) == (Fraction(2, 5), one)
+
+    def test_cap_is_checked_before_any_lane(self, monkeypatch, family):
+        def no_lanes(*args, **kwargs):
+            raise AssertionError("a lane was built before the cap was checked")
+
+        monkeypatch.setattr(bunkbed.tripartitions, "_item_lanes", no_lanes)
+        monkeypatch.setattr(bunkbed.enumeration, "_shard_reach", no_lanes)
+        monkeypatch.setattr(bunkbed.enumeration, "_spread", no_lanes)
+        g = family["cycle4"]
+        caps = Caps(max_updown_bits=3)
+        # Tripartitions with at most three one-open edges come first in
+        # counter order, so every cap is checked before the first lane.
+        with pytest.raises(CapExceededError, match="max_updown_bits"):
+            analyze_tripartitions(g, frozenset(), "a", "c", caps=caps)
+        with pytest.raises(CapExceededError, match="max_updown_bits"):
+            verify_theorem(g, "a", "c", caps=caps)
+        all_one = Tripartition(frozenset(), frozenset(g.edge_ids), frozenset())
+        for check in (updown_difference, updown_f_values):
+            with pytest.raises(CapExceededError, match="max_updown_bits"):
+                check(g, all_one, frozenset(), "a", "c", caps=caps)
+
+
+@st.composite
+def multigraphs_with_loops(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    names = [f"x{i}" for i in range(n)]
+    ends = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    edges = draw(st.lists(ends, min_size=1, max_size=4))
+    g = Multigraph(tuple(names), tuple((i, a, b) for i, (a, b) in enumerate(edges)))
+    u = draw(st.sampled_from(names))
+    v = draw(st.sampled_from(names))
+    return g, u, v
+
+
+class TestLanePassRandom:
+    @given(multigraphs_with_loops())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_with_loops_and_parallel_edges(self, case):
+        g, u, v = case
+        table = TripartitionTable.build(g)
+        sets, expected = _oracle_rows(g, u, v, table)
+        assert _batched(g, u, v, sets, table) == expected
+        for t, analysis in zip(sets, expected):
+            assert analyze_tripartitions(g, t, u, v, table=table) == analysis
+
+
+@st.composite
+def lane_blocks(draw):
+    """Random f lanes of one block: parts of 2^w bits, a flip over the block."""
+    w = draw(st.integers(min_value=0, max_value=3))
+    spill = draw(st.integers(min_value=0, max_value=2))
+    lane = st.integers(min_value=0, max_value=(1 << (1 << w)) - 1)
+    parts = draw(st.lists(st.tuples(lane, lane, lane, lane),
+                          min_size=1 << spill, max_size=1 << spill))
+    flip = draw(st.integers(min_value=0, max_value=(1 << (w + spill)) - 1))
+    return w, parts, flip
+
+
+def _decoded(parts, w):
+    f = []
+    for a, b, c, d in parts:
+        for m in range(1 << w):
+            f.append(((a >> m) & 1) + ((b >> m) & 1) - ((c >> m) & 1) - ((d >> m) & 1))
+    return f
+
+
+class TestLaneArithmetic:
+    @given(lane_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_below_marks_negative_f(self, case):
+        w, parts, _ = case
+        for part, values in zip(parts, zip(*[iter(_decoded(parts, w))] * (1 << w))):
+            below = _below(*part)
+            assert [(below >> m) & 1 == 1 for m in range(1 << w)] == [f < 0 for f in values]
+
+    @given(lane_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_negates_matches_decoded_masks(self, case):
+        w, parts, flip = case
+        f = _decoded(parts, w)
+        expected = all(f[x ^ flip] == -f[x] for x in range(len(f)))
+        assert _negates(parts, flip, w) == expected
+
+    def test_negates_holds_on_mirrored_lanes(self):
+        # A block built so that the flip swaps (A, B) with (C, D).
+        w, flip = 2, 0b101
+        f = [0, 1, -2, 2, -1, 0, 2, -2]
+        f = [f[x] if x < x ^ flip else -f[x ^ flip] for x in range(8)]
+        lanes = [[0, 0, 0, 0], [0, 0, 0, 0]]
+        for x, value in enumerate(f):
+            bits = {2: (1, 1, 0, 0), 1: (1, 0, 0, 0), 0: (0, 0, 0, 0),
+                    -1: (0, 0, 1, 0), -2: (0, 0, 1, 1)}[value]
+            for lane, bit in enumerate(bits):
+                lanes[x >> w][lane] |= bit << (x & 3)
+        parts = [tuple(part) for part in lanes]
+        assert _decoded(parts, w) == f
+        assert _negates(parts, flip, w)
+        assert not _negates(parts, flip ^ 0b10, w)
