@@ -231,11 +231,11 @@ class _Outcome(NamedTuple):
 
     cls: DistanceClass
     total: int  # sum of f over the assignments
-    factor: Fraction  # total / 2^(|domain| + 1)
     side: int  # vertices reachable from the u image avoiding pinned images
     flip: int  # domain edges with no end on that side
     negative: bool  # AT_MOST_ONE only: some f < 0
     negates: bool  # UNREACHABLE only: the flip negates f everywhere
+    factor: Fraction  # total / 2^(|domain| + 1)
 
 
 def _outcomes(
@@ -255,7 +255,7 @@ def _outcomes(
         adjacent[b] |= 1 << a
     parts = _f_parts(n, pu, pv, domain, pinned)
     out: list[_Outcome] = []
-    seen: dict = {}  # many image sets share one outcome; keep one copy
+    seen: dict = {}  # many image sets share one outcome; build it once
     # 2^(k - w) consecutive parts make up the block of one image set
     for code, block in enumerate(zip(*[parts] * (1 << (k - w)))):
         blocked = code if pinned is None else pinned
@@ -281,9 +281,10 @@ def _outcomes(
             negative = any(_below(*part) for part in block)
         else:
             cls = DistanceClass.AT_LEAST_TWO
-        outcome = _Outcome(cls, total, Fraction(total, 2 << k), side, flip,
-                           negative, negates)
-        out.append(seen.setdefault(outcome, outcome))
+        key = (cls, total, side, flip, negative, negates)
+        if key not in seen:
+            seen[key] = _Outcome(*key, Fraction(total, 2 << k))
+        out.append(seen[key])
     return out
 
 

@@ -649,11 +649,15 @@ class TestLanePass:
         table = TripartitionTable.build(g)
         none, one, both = table.tripartitions
         domains = [bunkbed.tripartitions._domain(rg, DEFAULT_CAPS) for rg in table.reduced]
-        outcome = bunkbed.tripartitions._Outcome
+        def outcome(cls, total, factor, negative):
+            return bunkbed.tripartitions._Outcome(
+                cls, total, side=1, flip=0, negative=negative, negates=True, factor=factor
+            )
+
         outcomes = [
-            outcome(DistanceClass.UNREACHABLE, 2, Fraction(1), 0, 0, False, True),
-            outcome(DistanceClass.AT_MOST_ONE, 1, Fraction(2, 5), 1, 0, True, True),
-            outcome(DistanceClass.AT_MOST_ONE, 2, Fraction(1), 1, 0, False, True),
+            outcome(DistanceClass.UNREACHABLE, 2, Fraction(1), False),
+            outcome(DistanceClass.AT_MOST_ONE, 1, Fraction(2, 5), True),
+            outcome(DistanceClass.AT_MOST_ONE, 2, Fraction(1), False),
         ]
         got = bunkbed.tripartitions._analysis(table, domains, outcomes)
         assert got.mirror_failures == [none]
