@@ -54,15 +54,24 @@ class UsageError(Exception):
     """Bad invocation: wrong flags, unknown vertices, unreadable input."""
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+# Caps field -> flag help.  The flag is the field name with dashes, the
+# environment fallback BUNKBED_ plus the field name in capitals.
+_CAP_HELP = {
+    "max_config_bits": "largest 2^k enumeration allowed (default 26)",
+    "max_tripartitions": "largest tripartition count allowed (default 3^16)",
+    "max_updown_bits": "largest up-down assignment width allowed (default 24)",
+}
+_CONFIG_CAP = ("max_config_bits",)
+
+
+def _add_common(sp: argparse.ArgumentParser, caps: tuple[str, ...]) -> None:
+    """--workers, --verbose, and the flags of the caps the subcommand reads."""
     sp.add_argument("--workers", type=int, default=None,
-                    help="worker threads (default 1; results do not depend on it)")
-    sp.add_argument("--max-config-bits", type=int, default=None,
-                    help="largest 2^k enumeration allowed (default 26)")
-    sp.add_argument("--max-tripartitions", type=int, default=None,
-                    help="largest tripartition count allowed (default 3^16)")
-    sp.add_argument("--max-updown-bits", type=int, default=None,
-                    help="largest up-down assignment width allowed (default 24)")
+                    help="mc sampling threads; other subcommands run on one "
+                         "(default 1; results do not depend on it)")
+    for name in caps:
+        sp.add_argument("--" + name.replace("_", "-"), type=int, default=None,
+                        help=_CAP_HELP[name])
     sp.add_argument("--verbose", action="store_true",
                     help="also print a summary table to stderr")
 
@@ -82,24 +91,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("exact", help="connection polynomials and their difference")
     _add_graph_pair(sp)
-    pin = sp.add_mutually_exclusive_group()
-    pin.add_argument("--pinned", default=None,
-                     help="comma-separated open posts; empty string for none")
-    pin.add_argument("--unconditioned", action="store_true",
-                     help="randomize the vertical edges too (default)")
+    sp.add_argument("--pinned", default=None,
+                    help="comma-separated open posts; empty string for none; "
+                         "omit to randomize the vertical edges too")
     sp.add_argument("--out", choices=("json", "csv"), default="json")
-    _add_common(sp)
+    _add_common(sp, _CONFIG_CAP)
 
     sp = sub.add_parser("expand", help="tripartition expansion for one pinned set")
     _add_graph_pair(sp)
     sp.add_argument("--pinned", required=True,
                     help="comma-separated open posts; empty string for none")
-    _add_common(sp)
+    _add_common(sp, tuple(_CAP_HELP))
 
     sp = sub.add_parser("verify-theorem",
                         help="expansion, bounds, and sign over every pinned set")
     _add_graph_pair(sp)
-    _add_common(sp)
+    _add_common(sp, tuple(_CAP_HELP))
 
     sp = sub.add_parser("line", help="closed forms on the two-level path")
     sp.add_argument("--n", type=int, required=True, help="number of path edges")
@@ -109,8 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="check the pinned low-order series coefficients")
     sp.add_argument("--gap", action="store_true",
                     help="check the closed-form gap between the end quantities")
-    sp.add_argument("--out", choices=("json",), default="json")
-    _add_common(sp)
+    _add_common(sp, ())
 
     sp = sub.add_parser("mc", help="seeded Monte Carlo difference estimate")
     _add_graph_pair(sp)
@@ -121,12 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated open posts; empty string for none")
     sp.add_argument("--k", type=float, default=4.0,
                     help="agreement width in standard errors (default 4)")
-    _add_common(sp)
+    _add_common(sp, _CONFIG_CAP)
 
     sp = sub.add_parser("geodesic-check",
                         help="leading term of the connection polynomial")
     _add_graph_pair(sp)
-    _add_common(sp)
+    _add_common(sp, _CONFIG_CAP)
 
     return parser
 
@@ -143,19 +149,21 @@ def _resolve_int(value: Optional[int], name: str, default: int) -> int:
         raise UsageError(f"environment {_ENV_PREFIX}{name} is not an integer: {raw!r}") from exc
 
 
-def _settings(args: argparse.Namespace) -> tuple[Caps, int]:
-    caps = Caps(
-        max_config_bits=_resolve_int(args.max_config_bits, "MAX_CONFIG_BITS",
-                                     DEFAULT_CAPS.max_config_bits),
-        max_tripartitions=_resolve_int(args.max_tripartitions, "MAX_TRIPARTITIONS",
-                                       DEFAULT_CAPS.max_tripartitions),
-        max_updown_bits=_resolve_int(args.max_updown_bits, "MAX_UPDOWN_BITS",
-                                     DEFAULT_CAPS.max_updown_bits),
-    )
+def _workers(args: argparse.Namespace) -> int:
     workers = _resolve_int(args.workers, "WORKERS", 1)
     if workers < 1:
         raise UsageError("--workers must be at least 1")
-    return caps, workers
+    return workers
+
+
+def _settings(args: argparse.Namespace) -> Caps:
+    """The caps the subcommand registered, each from its flag, environment or default."""
+    _workers(args)  # only mc reads it, but a bad value is an error everywhere
+    return Caps(**{
+        name: _resolve_int(getattr(args, name), name.upper(), getattr(DEFAULT_CAPS, name))
+        for name in _CAP_HELP
+        if hasattr(args, name)
+    })
 
 
 def _load_graph(path: str) -> Multigraph:
@@ -176,11 +184,11 @@ def _vertex(g: Multigraph, token: str) -> str:
     return token
 
 
-def _graph_pair(args) -> tuple[Caps, int, Multigraph, str, str]:
-    """Settings, graph and endpoints of a subcommand that takes --graph/--u/--v."""
-    caps, workers = _settings(args)
+def _graph_pair(args) -> tuple[Caps, Multigraph, str, str]:
+    """Caps, graph and endpoints of a subcommand that takes --graph/--u/--v."""
+    caps = _settings(args)
     g = _load_graph(args.graph)
-    return caps, workers, g, _vertex(g, args.u), _vertex(g, args.v)
+    return caps, g, _vertex(g, args.u), _vertex(g, args.v)
 
 
 def _parse_pinned(g: Multigraph, raw: Optional[str]) -> Optional[frozenset]:
@@ -200,9 +208,9 @@ def _parse_fraction(raw: str, what: str) -> Fraction:
 
 
 def _cmd_exact(args) -> tuple[dict, list[VerificationReport], Optional[str]]:
-    caps, workers, g, u, v = _graph_pair(args)
-    pinned = None if args.unconditioned else _parse_pinned(g, args.pinned)
-    same, cross = endpoint_polynomials(g, u, v, pinned, caps=caps, workers=workers)
+    caps, g, u, v = _graph_pair(args)
+    pinned = _parse_pinned(g, args.pinned)
+    same, cross = endpoint_polynomials(g, u, v, pinned, caps=caps)
     difference = same - cross
     p0 = threshold_point(g.edge_count)
     inputs = {
@@ -243,17 +251,17 @@ def _cmd_exact(args) -> tuple[dict, list[VerificationReport], Optional[str]]:
 
 
 def _cmd_expand(args) -> tuple[dict, list[VerificationReport], None]:
-    caps, workers, g, u, v = _graph_pair(args)
+    caps, g, u, v = _graph_pair(args)
     pinned = _parse_pinned(g, args.pinned)
     assert pinned is not None
-    reports = verify_conditioning(g, pinned, u, v, caps=caps, workers=workers)
+    reports = verify_conditioning(g, pinned, u, v, caps=caps)
     inputs = {"graph": args.graph, "u": u, "v": v, "pinned": sorted(pinned)}
     return inputs, reports, None
 
 
 def _cmd_verify_theorem(args) -> tuple[dict, list[VerificationReport], None]:
-    caps, workers, g, u, v = _graph_pair(args)
-    verdict, reports = verify_theorem(g, u, v, caps=caps, workers=workers)
+    caps, g, u, v = _graph_pair(args)
+    verdict, reports = verify_theorem(g, u, v, caps=caps)
     counts: dict[str, int] = {}
     for r in reports:
         counts[r.verdict] = counts.get(r.verdict, 0) + 1
@@ -319,7 +327,7 @@ def _cmd_line(args) -> tuple[dict, list[VerificationReport], None]:
 
 
 def _cmd_mc(args) -> tuple[dict, list[VerificationReport], None]:
-    caps, workers, g, u, v = _graph_pair(args)
+    caps, g, u, v = _graph_pair(args)
     pinned = _parse_pinned(g, args.pinned)
     p = _parse_fraction(args.p, "--p")
     if not 0 <= p <= 1:
@@ -327,7 +335,7 @@ def _cmd_mc(args) -> tuple[dict, list[VerificationReport], None]:
     if args.samples < 1:
         raise UsageError("--samples must be positive")
     estimates = estimate_difference(
-        g, u, v, p, args.samples, args.seed, pinned, workers=workers
+        g, u, v, p, args.samples, args.seed, pinned, workers=_workers(args)
     )
     quantities = {
         "p": p,
@@ -337,7 +345,7 @@ def _cmd_mc(args) -> tuple[dict, list[VerificationReport], None]:
     }
     verdict = PASS
     try:
-        same, cross = endpoint_polynomials(g, u, v, pinned, caps=caps, workers=workers)
+        same, cross = endpoint_polynomials(g, u, v, pinned, caps=caps)
     except CapExceededError:
         quantities["exact_available"] = False
     else:
@@ -369,8 +377,8 @@ def _cmd_mc(args) -> tuple[dict, list[VerificationReport], None]:
 
 
 def _cmd_geodesic(args) -> tuple[dict, list[VerificationReport], None]:
-    caps, workers, g, u, v = _graph_pair(args)
-    result = geodesic_check(g, u, v, caps=caps, workers=workers)
+    caps, g, u, v = _graph_pair(args)
+    result = geodesic_check(g, u, v, caps=caps)
     inputs = {"graph": args.graph, "u": u, "v": v}
     return inputs, [VerificationReport(
         check="geodesic_leading_term",

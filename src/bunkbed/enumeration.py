@@ -5,8 +5,7 @@ contributes one small edge set for bit 0 and another for bit 1 (plain
 percolation uses no edges / one edge, the up-down model uses the lower
 copy / the upper copy).  For each query, a conjunction of vertex pairs,
 the kernel counts satisfying configurations bucketed by the number of
-1-bits.  Those integer buckets are the whole interface: they are order
-independent, so worker partitioning cannot change the result.
+1-bits.  Those integer buckets are the whole interface.
 
 The kernel is bit-sliced.  The first L = min(k, 16) items become lanes
 of 2^L bits, bit x standing for the configuration whose low L item bits
@@ -23,7 +22,6 @@ ones in the shard's prefix.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 VertexIndex = int
@@ -123,15 +121,13 @@ def connection_counts(
     base_pairs,
     items,
     queries,
-    *,
-    workers: int = 1,
 ) -> list[list[int]]:
     """Count configurations satisfying each query, bucketed by 1-bits.
 
     base_pairs are edges present in every configuration.  Returns one
     list of k+1 integers per query; entry j counts configurations with
     exactly j items set to 1 in which all of the query's vertex pairs
-    are connected.  Totals are identical for every worker count.
+    are connected.
     """
     items = [tuple(map(tuple, item)) for item in items]
     queries = [tuple(query) for query in queries]
@@ -141,27 +137,14 @@ def connection_counts(
     full = (1 << (1 << lanes)) - 1
     weights = _weight_masks(lanes)
 
-    def shard(prefix: int) -> list[list[int]]:
+    counts = [[0] * (k + 1) for _ in queries]
+    for prefix in range(1 << (k - lanes)):
         reach = reach_of(prefix)
-        rows = []
-        for query in queries:
+        h = prefix.bit_count()
+        for row, query in zip(counts, queries):
             sat = full
             for a, b in query:
                 sat &= reach[a][b]
-            rows.append([(sat & mask).bit_count() for mask in weights])
-        return rows
-
-    prefixes = range(1 << (k - lanes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(shard, prefixes))
-    else:
-        parts = [shard(prefix) for prefix in prefixes]
-
-    counts = [[0] * (k + 1) for _ in queries]
-    for prefix, part in zip(prefixes, parts):
-        h = prefix.bit_count()
-        for row, extra in zip(counts, part):
-            for j, value in enumerate(extra):
-                row[h + j] += value
+            for j, mask in enumerate(weights):
+                row[h + j] += (sat & mask).bit_count()
     return counts

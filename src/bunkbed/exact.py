@@ -119,7 +119,6 @@ def _query_counts(
     queries: Sequence[Sequence[tuple[BunkbedVertex, BunkbedVertex]]],
     pinned: Optional[Iterable[Vertex]],
     caps: Caps,
-    workers: int,
 ) -> tuple[list[list[int]], int]:
     arena = _build_arena(g, pinned)
     _check_cap(arena.bits, caps)
@@ -135,11 +134,7 @@ def _query_counts(
         idx_queries.append(tuple(pairs))
 
     counts = connection_counts(
-        arena.num_vertices,
-        arena.base_pairs,
-        arena.items,
-        idx_queries,
-        workers=workers,
+        arena.num_vertices, arena.base_pairs, arena.items, idx_queries
     )
     return counts, arena.bits
 
@@ -164,7 +159,6 @@ def connection_query_polynomials(
     pinned: Optional[Iterable[Vertex]] = None,
     *,
     caps: Caps = DEFAULT_CAPS,
-    workers: int = 1,
 ) -> list[RationalPoly]:
     """Exact probability, per query, that all its vertex pairs connect.
 
@@ -172,7 +166,7 @@ def connection_query_polynomials(
     randomizes the vertical edges along with the horizontal ones;
     pinned=t fixes verticals open exactly at the vertices of t.
     """
-    counts, bits = _query_counts(g, queries, pinned, caps, workers)
+    counts, bits = _query_counts(g, queries, pinned, caps)
     return [counts_to_polynomial(row, bits) for row in counts]
 
 
@@ -183,12 +177,9 @@ def connection_polynomial(
     pinned: Optional[Iterable[Vertex]] = None,
     *,
     caps: Caps = DEFAULT_CAPS,
-    workers: int = 1,
 ) -> RationalPoly:
     """Exact polynomial in p for the event that a and b are connected."""
-    return connection_query_polynomials(
-        g, [((a, b),)], pinned, caps=caps, workers=workers
-    )[0]
+    return connection_query_polynomials(g, [((a, b),)], pinned, caps=caps)[0]
 
 
 def endpoint_polynomials(
@@ -198,7 +189,6 @@ def endpoint_polynomials(
     pinned: Optional[Iterable[Vertex]] = None,
     *,
     caps: Caps = DEFAULT_CAPS,
-    workers: int = 1,
 ) -> tuple[RationalPoly, RationalPoly]:
     """Connection polynomials for (u bottom, v bottom) and (u bottom, v top).
 
@@ -211,7 +201,6 @@ def endpoint_polynomials(
         [((u0, bunkbed_vertex(v, 0)),), ((u0, bunkbed_vertex(v, 1)),)],
         pinned,
         caps=caps,
-        workers=workers,
     )
     return polys[0], polys[1]
 
@@ -223,10 +212,9 @@ def difference_polynomial(
     pinned: Optional[Iterable[Vertex]] = None,
     *,
     caps: Caps = DEFAULT_CAPS,
-    workers: int = 1,
 ) -> RationalPoly:
     """P(u bottom <-> v bottom) - P(u bottom <-> v top), exactly."""
-    same, cross = endpoint_polynomials(g, u, v, pinned, caps=caps, workers=workers)
+    same, cross = endpoint_polynomials(g, u, v, pinned, caps=caps)
     return same - cross
 
 
@@ -283,7 +271,6 @@ def geodesic_check(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    workers: int = 1,
 ) -> GeodesicCheck:
     """Check that the connection polynomial starts at the geodesic term.
 
@@ -298,7 +285,7 @@ def geodesic_check(
     bb = bunkbed(g)
     distance, count = _bfs_geodesics(bb, bunkbed_vertex(u, 0), bunkbed_vertex(v, 0))
     poly = connection_polynomial(
-        g, bunkbed_vertex(u, 0), bunkbed_vertex(v, 0), None, caps=caps, workers=workers
+        g, bunkbed_vertex(u, 0), bunkbed_vertex(v, 0), None, caps=caps
     )
     if distance == INFINITY:
         verdict = poly.is_zero()

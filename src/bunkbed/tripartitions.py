@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from . import enumeration
 from .enumeration import Caps, DEFAULT_CAPS, CapExceededError, _item_lanes
 from .exact import (
+    _check_cap,
     connected_avoiding,
     counts_to_polynomial,
     difference_polynomial,
@@ -67,6 +68,17 @@ def validate_tripartition(g: Multigraph, s: Tripartition) -> None:
         raise ValueError("tripartition must partition the edge ids of the graph")
 
 
+def _check_tripartitions(m: int, caps: Caps) -> int:
+    """3^m, the tripartition count of m edges, once it is within the cap."""
+    total = 3 ** m
+    if total > caps.max_tripartitions:
+        raise CapExceededError(
+            f"3^{m} = {total} tripartitions exceed max_tripartitions "
+            f"({caps.max_tripartitions})"
+        )
+    return total
+
+
 def enumerate_tripartitions(
     g: Multigraph, caps: Caps = DEFAULT_CAPS
 ) -> Iterator[Tripartition]:
@@ -75,13 +87,7 @@ def enumerate_tripartitions(
     The cap is checked eagerly; the sequence itself is generated lazily
     because at the cap it is far too large to materialize.
     """
-    m = g.edge_count
-    total = 3 ** m
-    if total > caps.max_tripartitions:
-        raise CapExceededError(
-            f"3^{m} = {total} tripartitions exceed max_tripartitions "
-            f"({caps.max_tripartitions})"
-        )
+    total = _check_tripartitions(g.edge_count, caps)
     ids = [eid for eid, _, _ in g.edges]
 
     def generate() -> Iterator[Tripartition]:
@@ -503,8 +509,8 @@ def mirroring_involution_check(
     Only meaningful when the endpoint images cannot reach each other
     avoiding the pinned set; raises ValueError otherwise.  The check
     confirms that flipping every edge on the far side of the pinned
-    boundary is an involution that negates the symmetrized indicator,
-    and that the factor is exactly zero.
+    boundary negates the symmetrized indicator, and that the factor is
+    exactly zero.
     """
     t = frozenset(t)
     model = reduced_model(g, s, t, u, v)
@@ -515,20 +521,16 @@ def mirroring_involution_check(
         )
     domain, args = _model_args(model, caps)
     out = _outcomes(*args)[0]
-    flip = out.flip
-    involution = all((m ^ flip) ^ flip == m for m in range(1 << len(domain)))
-    verdict = PASS if (out.negates and involution and out.factor == 0) else FAIL
     return VerificationReport(
         check="mirroring_involution",
-        verdict=verdict,
+        verdict=PASS if (out.negates and out.factor == 0) else FAIL,
         inputs={**_inputs(g, t, u, v), "tripartition": s},
         quantities={
             "factor": out.factor,
             "flip_negates": out.negates,
-            "is_involution": involution,
             "u_side_size": out.side.bit_count(),
             "flipped_edges": sorted(
-                eid for i, (eid, _, _) in enumerate(domain) if (flip >> i) & 1
+                eid for i, (eid, _, _) in enumerate(domain) if (out.flip >> i) & 1
             ),
         },
         witnesses={},
@@ -550,7 +552,6 @@ def expansion_identity_check(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    workers: int = 1,
     table: Optional[TripartitionTable] = None,
     analysis: Optional[TripartitionAnalysis] = None,
     difference: Optional[RationalPoly] = None,
@@ -560,9 +561,7 @@ def expansion_identity_check(
     if analysis is None:
         analysis = analyze_tripartitions(g, t, u, v, caps=caps, table=table)
     if difference is None:
-        difference = difference_polynomial(
-            g, u, v, pinned=t, caps=caps, workers=workers
-        )
+        difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
     equal = difference == analysis.expansion_sum
     return VerificationReport(
         check="expansion_identity",
@@ -585,7 +584,6 @@ def bound_report(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    workers: int = 1,
     table: Optional[TripartitionTable] = None,
     analysis: Optional[TripartitionAnalysis] = None,
     difference: Optional[RationalPoly] = None,
@@ -610,9 +608,7 @@ def bound_report(
     if analysis is None:
         analysis = analyze_tripartitions(g, t, u, v, caps=caps, table=table)
     if difference is None:
-        difference = difference_polynomial(
-            g, u, v, pinned=t, caps=caps, workers=workers
-        )
+        difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
     m = g.edge_count
     p0 = threshold_point(m)
     mass_short = analysis.class_mass[DistanceClass.AT_MOST_ONE.value].evaluate(p0)
@@ -686,7 +682,6 @@ def theorem_sign_check(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    workers: int = 1,
     difference: Optional[RationalPoly] = None,
 ) -> VerificationReport:
     """Sign of the conditional difference at the dyadic point.
@@ -697,9 +692,7 @@ def theorem_sign_check(
     """
     t = frozenset(t)
     if difference is None:
-        difference = difference_polynomial(
-            g, u, v, pinned=t, caps=caps, workers=workers
-        )
+        difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
     p0 = threshold_point(g.edge_count)
     value = difference.evaluate(p0)
     connected = connected_avoiding(g, u, v, t)
@@ -724,13 +717,12 @@ def verify_conditioning(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    workers: int = 1,
     table: Optional[TripartitionTable] = None,
 ) -> list[VerificationReport]:
     """Expansion, bounds, and sign reports for one pinned set."""
     t = frozenset(t)
     analysis = analyze_tripartitions(g, t, u, v, caps=caps, table=table)
-    return _conditioning_reports(g, t, u, v, analysis, caps, workers)
+    return _conditioning_reports(g, t, u, v, analysis, caps)
 
 
 def _conditioning_reports(
@@ -740,9 +732,8 @@ def _conditioning_reports(
     v: Vertex,
     analysis: TripartitionAnalysis,
     caps: Caps,
-    workers: int,
 ) -> list[VerificationReport]:
-    difference = difference_polynomial(g, u, v, pinned=t, caps=caps, workers=workers)
+    difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
     return [
         expansion_identity_check(g, t, u, v, analysis=analysis, difference=difference),
         bound_report(g, t, u, v, analysis=analysis, difference=difference),
@@ -756,16 +747,22 @@ def verify_theorem(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    workers: int = 1,
     table: Optional[TripartitionTable] = None,
 ) -> tuple[str, list[VerificationReport]]:
-    """Run every per-conditioning check over all subsets of the vertices."""
+    """Run every per-conditioning check over all subsets of the vertices.
+
+    The caps are checked on the total work before anything is built:
+    2^|V| conditioned enumerations of 2^(2|E|) configurations each, as
+    many as one unconditioned enumeration, and 3^|E| tripartitions.
+    """
     n = g.vertex_count
+    _check_cap(2 * g.edge_count + n, caps)
+    _check_tripartitions(g.edge_count, caps)
     sets = [
         frozenset(g.vertices[i] for i in range(n) if (code >> i) & 1)
         for code in range(1 << n)
     ]
     reports: list[VerificationReport] = []
     for t, analysis in zip(sets, _analyses(g, u, v, sets, caps, table)):
-        reports.extend(_conditioning_reports(g, t, u, v, analysis, caps, workers))
+        reports.extend(_conditioning_reports(g, t, u, v, analysis, caps))
     return aggregate_verdict(r.verdict for r in reports), reports

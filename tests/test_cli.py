@@ -146,10 +146,17 @@ class TestExitCodes:
         assert code == 2
         assert "max_config_bits" in err
 
-    def test_argparse_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run(["exact", "--u", "u", "--v", "v"])
-        assert err.value.code == 2
+    def test_argparse_usage_error(self, capsys, k2_file):
+        pair = ["--graph", k2_file, "--u", "u", "--v", "v"]
+        for argv in (
+            ["exact", "--u", "u", "--v", "v"],
+            # a cap flag is registered only where the subcommand reads it
+            ["line", "--n", "3", "--max-config-bits", "4"],
+            ["exact", *pair, "--max-tripartitions", "5"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                run(argv)
+            assert err.value.code == 2, argv
 
     def test_lambda_outside_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["line", "--n", "1", "--lambda", "2"])

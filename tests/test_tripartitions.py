@@ -686,6 +686,20 @@ class TestLanePass:
             with pytest.raises(CapExceededError, match="max_updown_bits"):
                 check(g, all_one, frozenset(), "a", "c", caps=caps)
 
+    def test_theorem_total_work_is_checked_before_building(self, monkeypatch, family):
+        def no_build(*args, **kwargs):
+            raise AssertionError("tripartitions were built before the caps were checked")
+
+        monkeypatch.setattr(bunkbed.tripartitions, "enumerate_tripartitions", no_build)
+        monkeypatch.setattr(bunkbed.tripartitions, "minor", no_build)
+        g = family["path4"]
+        # 2^5 pinned sets of 2^8 configurations each: 13 bits of kernel
+        # work, though each single enumeration fits in 10.
+        with pytest.raises(CapExceededError, match="max_config_bits"):
+            verify_theorem(g, "a", "e", caps=Caps(max_config_bits=10))
+        with pytest.raises(CapExceededError, match="max_tripartitions"):
+            verify_theorem(g, "a", "e", caps=Caps(max_tripartitions=3 ** 4 - 1))
+
 
 @st.composite
 def multigraphs_with_loops(draw):
