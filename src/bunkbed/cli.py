@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import io
+import math
 import os
 import sys
 from fractions import Fraction
@@ -334,6 +335,8 @@ def _cmd_mc(args) -> tuple[dict, list[VerificationReport], None]:
         raise UsageError("--p must lie in [0, 1]")
     if args.samples < 1:
         raise UsageError("--samples must be positive")
+    if not 0 < args.k < math.inf:
+        raise UsageError("--k must be finite and positive")
     estimates = estimate_difference(
         g, u, v, p, args.samples, args.seed, pinned, workers=_workers(args)
     )

@@ -137,13 +137,6 @@ def connected_components(
     return tuple(blocks)
 
 
-def _merged_name(block: Iterable[Vertex]) -> Vertex:
-    tokens = sorted(str(v) for v in block)
-    if len(tokens) == 1:
-        return next(iter(block))
-    return "+".join(tokens)
-
-
 def minor(
     g: Multigraph, delete: Iterable[EdgeId], contract: Iterable[EdgeId]
 ) -> tuple[Multigraph, dict]:
@@ -151,8 +144,9 @@ def minor(
 
     Returns the minor and the projection map original vertex -> minor
     vertex.  Surviving edges keep their ids; contraction can create
-    self-loops and parallel edges, which are kept.  Merged vertices are
-    named by joining their sorted original tokens with '+'.
+    self-loops and parallel edges, which are kept.  Each merged vertex is
+    named after the original vertex of its block that comes first in
+    g.vertices, so minor names can never collide.
     """
     delete = frozenset(delete)
     contract = frozenset(contract)
@@ -166,22 +160,15 @@ def minor(
         g.vertices, tuple(e for e in g.edges if e[0] in contract)
     )
     blocks = connected_components(contract_graph)
-    projection: dict = {}
-    names: list[Vertex] = []
-    for block in blocks:
-        name = _merged_name(block)
-        if name in projection.values() or name in names:
-            raise ValueError(f"merged vertex name collision: {name!r}")
-        names.append(name)
-        for v in block:
-            projection[v] = name
+    names = tuple(next(v for v in g.vertices if v in block) for block in blocks)
+    projection = {v: name for name, block in zip(names, blocks) for v in block}
 
     new_edges = tuple(
         (eid, projection[a], projection[b])
         for eid, a, b in g.edges
         if eid not in delete and eid not in contract
     )
-    return Multigraph(tuple(names), new_edges), projection
+    return Multigraph(names, new_edges), projection
 
 
 def vertical_free_distance(

@@ -11,9 +11,10 @@ independently tracked only-one recursion and against full enumeration.
 Near q = 0 the reconstructed quantities have pinned series coefficients,
 and along q = lambda/sqrt(n) the bottom-to-bottom probability tends to
 exp(-lambda^2); both facts are exposed as checks here.  One recursion
-serves both, on plain integers: it runs on integer coefficient tuples in
-q for the closed forms, and for the Gaussian point q = a/b on integer
-numerators over a power of b, so no gcd is taken until the end.
+serves both, on plain integers: it runs on RationalPoly in q, whose
+coefficients stay int, for the closed forms, and for the Gaussian point
+q = a/b on integer numerators over a power of b, so no gcd is taken
+until the end.
 """
 
 from __future__ import annotations
@@ -62,50 +63,18 @@ class LineQuantities:
     to_top_only: RationalPoly
 
 
-class _IntPoly(tuple):
-    """Integer coefficients in q, lowest degree first.
-
-    Only the ring operations the line recursion uses: + and - act
-    coefficientwise, * multiplies by another _IntPoly or by an int.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other: "_IntPoly") -> "_IntPoly":
-        short, long = sorted((self, other), key=len)
-        out = list(long)
-        for i, c in enumerate(short):
-            out[i] += c
-        return _IntPoly(out)
-
-    def __sub__(self, other: "_IntPoly") -> "_IntPoly":
-        return self + -1 * other
-
-    def __mul__(self, other) -> "_IntPoly":
-        if isinstance(other, int):
-            return _IntPoly(other * c for c in self)
-        out = [0] * (len(self) + len(other) - 1)
-        for i, a in enumerate(self):
-            if a:
-                for j, b in enumerate(other):
-                    out[i + j] += a * b
-        return _IntPoly(out)
-
-    __rmul__ = __mul__
-
-
 # (a, b, c) = (q, 1, 1 - q): _line_recursion on the polynomials themselves.
-_POLY_POINT = (_IntPoly((0, 1)), _IntPoly((1,)), _IntPoly((1, -1)))
+_POLY_POINT = tuple(RationalPoly(c, VAR_Q) for c in ((0, 1), (1,), (1, -1)))
 
 
-def _gap_coefficients(n: int) -> _IntPoly:
+def _gap_coefficients(n: int) -> RationalPoly:
     """q^(n+1) (1-q)^n, from the binomial theorem."""
-    return _IntPoly([0] * (n + 1) + [(-1) ** k * comb(n, k) for k in range(n + 1)])
+    return RationalPoly([0] * (n + 1) + [(-1) ** k * comb(n, k) for k in range(n + 1)], VAR_Q)
 
 
 def gap_polynomial(n: int) -> RationalPoly:
     """Closed form q^(n+1) (1-q)^n for to_bottom - to_top."""
-    return RationalPoly(_gap_coefficients(n), VAR_Q)
+    return _gap_coefficients(n)
 
 
 def _line_recursion(a, b, c) -> Iterator[tuple]:
@@ -143,9 +112,8 @@ def _doubled_ends(both, exactly_one, gap) -> tuple:
 def _quantities(n: int, both, exactly_one, bottom_only, top_only) -> LineQuantities:
     """LineQuantities from the polynomial route's state at step n."""
     ends = _doubled_ends(both, exactly_one, _gap_coefficients(n))
-    to_bottom, to_top = (RationalPoly([Fraction(c, 2) for c in e], VAR_Q) for e in ends)
-    rest = (RationalPoly(x, VAR_Q) for x in (both, exactly_one, bottom_only, top_only))
-    return LineQuantities(n, to_bottom, to_top, *rest)
+    to_bottom, to_top = (e * Fraction(1, 2) for e in ends)
+    return LineQuantities(n, to_bottom, to_top, both, exactly_one, bottom_only, top_only)
 
 
 def iter_line_quantities(max_n: int) -> Iterator[LineQuantities]:

@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .enumeration import _spread
-from .exact import _build_arena
+from .exact import _build_arena, vertical_edge_id
 from .graphs import Multigraph, Vertex
 
 GENERATOR = "philox4x64-raw"
@@ -84,11 +84,13 @@ def sample_bunkbed(
     Pinned verticals are included as open; with pinned=None the vertical
     edges are sampled like the horizontal ones.
     """
+    if pinned is not None:
+        pinned = frozenset(pinned)
     arena = _build_arena(g, pinned)
     bits = _shard_bits(seed, 0, 1, max(1, arena.bits), _threshold(p))[0]
     open_ids = {eid for eid, bit in zip(arena.item_ids, bits) if bit}
     if pinned is not None:
-        open_ids |= {("v", v) for v in pinned}
+        open_ids |= {vertical_edge_id(v) for v in pinned}
     return frozenset(open_ids)
 
 

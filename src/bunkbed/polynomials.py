@@ -1,10 +1,11 @@
 """Exact univariate polynomials over the rationals, tagged by variable.
 
 Every identity checked by this package reduces to equality of such
-polynomials, so coefficients are fractions.Fraction throughout and no
-floating point ever enters an identity path.  The variable tag records
-whether a polynomial is written in the retention probability p or in
-q = 1 - p; mixing tags is an error, and reparam() converts between them.
+polynomials, so each coefficient is an int or a fractions.Fraction,
+equal by value, and no floating point ever enters an identity path.
+The variable tag records whether a polynomial is written in the
+retention probability p or in q = 1 - p; mixing tags is an error, and
+reparam() converts between them.
 """
 
 from __future__ import annotations
@@ -33,18 +34,29 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _strip(coeffs: list[Coefficient]) -> tuple[Coefficient, ...]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _poly(coeffs: list[Coefficient], var: str) -> "RationalPoly":
+    """A RationalPoly from coefficients that are already int or Fraction."""
+    poly = object.__new__(RationalPoly)
+    object.__setattr__(poly, "coeffs", _strip(coeffs))
+    object.__setattr__(poly, "var", var)
+    return poly
 
 
 class RationalPoly:
     """Dense polynomial with exact rational coefficients.
 
     coeffs[k] is the coefficient of x**k where x is the tagged variable.
-    The representation is canonical: trailing zero coefficients are
-    stripped, so the zero polynomial has an empty coefficient tuple.
+    Each coefficient is an int or a Fraction: int inputs stay int, any
+    other input becomes Fraction(c), and the two are equal by value, so
+    equality, hashing and every printed form do not depend on which one
+    a coefficient is.  Trailing zero coefficients are stripped, so the
+    zero polynomial has an empty coefficient tuple.
     """
 
     __slots__ = ("coeffs", "var")
@@ -52,7 +64,9 @@ class RationalPoly:
     def __init__(self, coeffs: Iterable[Coefficient] = (), var: str = VAR_P):
         if var not in _VARS:
             raise ValueError(f"unknown variable tag {var!r}")
-        object.__setattr__(self, "coeffs", _strip([Fraction(c) for c in coeffs]))
+        object.__setattr__(
+            self, "coeffs", _strip([c if type(c) is int else Fraction(c) for c in coeffs])
+        )
         object.__setattr__(self, "var", var)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -92,7 +106,7 @@ class RationalPoly:
         if k < 0:
             raise ValueError("coefficient index must be nonnegative")
         if k < len(self.coeffs):
-            return self.coeffs[k]
+            return Fraction(self.coeffs[k])
         return Fraction(0)
 
     def _check_var(self, other: "RationalPoly") -> None:
@@ -110,15 +124,12 @@ class RationalPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPoly(out, self.var)
+        return _poly([x + y for x, y in zip(a, b)] + list(a[len(b):]), self.var)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalPoly":
-        return RationalPoly([-c for c in self.coeffs], self.var)
+        return _poly([-c for c in self.coeffs], self.var)
 
     def __sub__(self, other: object) -> "RationalPoly":
         if isinstance(other, (int, Fraction)):
@@ -131,21 +142,21 @@ class RationalPoly:
         return (-self) + other
 
     def __mul__(self, other: object) -> "RationalPoly":
-        if isinstance(other, (int, Fraction)):
-            return RationalPoly([c * other for c in self.coeffs], self.var)
         if not isinstance(other, RationalPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return _poly([c * other for c in self.coeffs], self.var)
         self._check_var(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        a, b = sorted((self.coeffs, other.coeffs), key=len)
+        if not a:
             return RationalPoly.zero(self.var)
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        # One pass over the longer factor per nonzero coefficient of the shorter.
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return RationalPoly(out, self.var)
+                end = i + len(b)
+                out[i:end] = [o + ca * cb for o, cb in zip(out[i:end], b)]
+        return _poly(out, self.var)
 
     __rmul__ = __mul__
 
@@ -186,18 +197,12 @@ class RationalPoly:
         ring homomorphism.
         """
         new_var = VAR_Q if self.var == VAR_P else VAR_P
-        # Horner in (1 - x): acc <- acc * (1 - x) + c_k, exactly.
-        acc: list[Fraction] = []
+        # Horner's rule in 1 - x.
+        one_minus_x = RationalPoly((1, -1), new_var)
+        acc = RationalPoly.zero(new_var)
         for c in reversed(self.coeffs):
-            nxt = [Fraction(0)] * (len(acc) + 1)
-            for i, a in enumerate(acc):
-                nxt[i] += a
-                nxt[i + 1] -= a
-            nxt[0] += c
-            acc = nxt
-            while acc and acc[-1] == 0:
-                acc.pop()
-        return RationalPoly(acc, new_var)
+            acc = acc * one_minus_x + c
+        return acc
 
     def to_json_obj(self) -> dict:
         return {

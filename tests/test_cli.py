@@ -135,6 +135,24 @@ class TestExitCodes:
         assert code == 2
         assert "rational" in err
 
+    def test_bad_agreement_width_is_usage_error(self, capsys, k2_file, monkeypatch):
+        import bunkbed.cli
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before --k was checked")
+
+        monkeypatch.setattr(bunkbed.cli, "estimate_difference", no_sampling)
+        for k in ("nan", "inf", "-inf", "-1", "0"):
+            code, _, err = run_cli(
+                capsys,
+                [
+                    "mc", "--graph", k2_file, "--u", "u", "--v", "v",
+                    "--p", "1/2", "--samples", "10", "--seed", "1", f"--k={k}",
+                ],
+            )
+            assert code == 2, k
+            assert "--k" in err, k
+
     def test_cap_exceeded_is_exit_two(self, capsys, path4_file):
         code, _, err = run_cli(
             capsys,

@@ -174,6 +174,10 @@ class TestSampleConfigurations:
         assert vertical_edge_id("u") in got
         assert vertical_edge_id("v") not in got
 
+    def test_pinned_posts_from_one_shot_iterable(self, k2):
+        got = sample_bunkbed(k2, Fraction(0), 1, (v for v in ["u"]))
+        assert got == frozenset({vertical_edge_id("u")})
+
     def test_same_seed_same_sample(self, k2):
         a = sample_bunkbed(k2, Fraction(1, 2), 123, None)
         b = sample_bunkbed(k2, Fraction(1, 2), 123, None)

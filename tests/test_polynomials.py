@@ -23,6 +23,7 @@ fractions = st.fractions(
 polys = st.lists(fractions, max_size=6).map(
     lambda cs: RationalPoly(cs, VAR_P)
 )
+int_lists = st.lists(st.integers(min_value=-10 ** 30, max_value=10 ** 30), max_size=8)
 points = st.fractions(
     min_value=Fraction(-3), max_value=Fraction(3), max_denominator=16
 )
@@ -80,7 +81,7 @@ class TestRingLaws:
 class TestStructure:
     def test_zero_has_degree_minus_one(self):
         assert RationalPoly.zero(VAR_P).degree == -1
-        assert RationalPoly.zero(VAR_P).is_zero
+        assert RationalPoly.zero(VAR_P).is_zero()
 
     def test_trailing_zeros_normalized(self):
         a = RationalPoly([Fraction(1), Fraction(0), Fraction(0)], VAR_P)
@@ -114,6 +115,36 @@ class TestStructure:
     def test_hash_consistent_with_eq(self, a):
         b = RationalPoly(list(a.coeffs), a.var)
         assert a == b and hash(a) == hash(b)
+
+
+class TestCoefficientRepresentation:
+    """Int coefficients stay int, and are indistinguishable from equal Fractions."""
+
+    @given(int_lists, st.sampled_from((VAR_P, VAR_Q)))
+    def test_int_and_fraction_coefficients_agree(self, cs, var):
+        a = RationalPoly(cs, var)
+        b = RationalPoly([Fraction(c) for c in cs], var)
+        assert a == b and hash(a) == hash(b)
+        assert str(a) == str(b)
+        assert repr(a) == repr(b)
+        assert a.to_json_obj() == b.to_json_obj()
+        for k in range(len(cs) + 2):
+            assert type(a.coeff(k)) is Fraction and type(b.coeff(k)) is Fraction
+            assert a.coeff(k) == b.coeff(k)
+
+    @given(int_lists, int_lists)
+    def test_ring_operations_keep_ints(self, xs, ys):
+        a, b = RationalPoly(xs, VAR_Q), RationalPoly(ys, VAR_Q)
+        for result in (a + b, a - b, -a, a * b, 3 * a, a.reparam().reparam()):
+            assert all(type(c) is int for c in result.coeffs)
+
+    @given(int_lists, polys)
+    def test_mixed_arithmetic_matches_fractions(self, cs, b):
+        a = RationalPoly(cs, VAR_P)
+        f = RationalPoly([Fraction(c) for c in cs], VAR_P)
+        assert a + b == f + b
+        assert a * b == f * b
+        assert a * Fraction(1, 3) == f * Fraction(1, 3)
 
 
 class TestReparam:

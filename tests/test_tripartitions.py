@@ -517,6 +517,16 @@ class TestSweeps:
         assert failing[0].check == "tripartition_bounds"
         assert failing[0].inputs["pinned"] == []
 
+    def test_verify_theorem_merged_name_cannot_collide(self):
+        # The block {a, b} must not be named after the real vertex "a+b".
+        verdict, reports = verify_theorem(parse_edge_list("a b\na+b c"), "a", "c")
+        renamed_verdict, renamed = verify_theorem(parse_edge_list("a b\nx c"), "a", "c")
+        assert verdict == renamed_verdict == PASS
+        assert len(reports) == len(renamed) == 3 * 2 ** 4
+        for r, s in zip(reports, renamed):
+            assert (r.check, r.verdict) == (s.check, s.verdict)
+            assert r.quantities == s.quantities
+
 
 class TestAnalysis:
     def test_class_counts_path4_interior(self, family):
