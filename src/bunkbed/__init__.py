@@ -73,19 +73,15 @@ from .reports import (
 )
 from .tripartitions import (
     DistanceClass,
-    ReducedModel,
     Tripartition,
     TripartitionAnalysis,
     TripartitionTable,
     analyze_tripartitions,
     bound_report,
-    classify,
     enumerate_tripartitions,
     expansion_identity_check,
     mirroring_involution_check,
-    reduced_model,
     theorem_sign_check,
-    updown_difference,
     updown_f_values,
     validate_tripartition,
     verify_conditioning,

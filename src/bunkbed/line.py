@@ -89,17 +89,17 @@ def _line_recursion(a, b, c) -> Iterator[tuple]:
     step_cross = a * a * c     # q^2(1-q): enter from the both-reached state
     both_keep = (b + 2 * a) * c * c
     both_from_one = b * c * c
-    one_from_both = 2 * step_cross
     one_keep = step_only
 
     bottom_only, top_only, both, exactly_one = a, 0 * a, c, a
     while True:
         yield both, exactly_one, bottom_only, top_only
+        cross = step_cross * both  # from both reached to one side reached
         bottom_only, top_only, both, exactly_one = (
-            step_only * bottom_only + step_cross * both,
-            step_only * top_only + step_cross * both,
+            step_only * bottom_only + cross,
+            step_only * top_only + cross,
             both_keep * both + both_from_one * exactly_one,
-            one_from_both * both + one_keep * exactly_one,
+            2 * cross + one_keep * exactly_one,
         )
 
 

@@ -24,8 +24,10 @@ class VariableMismatchError(ValueError):
     """Combination of polynomials carrying different variable tags."""
 
 
-def format_fraction(value: Fraction) -> str:
+def format_fraction(value: Coefficient) -> str:
     """Canonical num/den string, lowest terms, positive denominator."""
+    if type(value) is int:
+        return f"{value}/1"
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 

@@ -31,7 +31,7 @@ from .exact import (
     difference_polynomial,
     threshold_point,
 )
-from .graphs import INFINITY, Multigraph, Vertex, minor, vertical_free_distance
+from .graphs import Multigraph, Vertex, minor
 from .polynomials import RationalPoly
 from .reports import DISCREPANCY, FAIL, PASS, VerificationReport, aggregate_verdict
 
@@ -104,70 +104,42 @@ def enumerate_tripartitions(
     return generate()
 
 
-@dataclass(frozen=True)
-class ReducedModel:
-    """Reduced graph with endpoint and pinned images for one tripartition."""
-
-    graph: Multigraph
-    projection: dict
-    pu: Vertex
-    pv: Vertex
-    pinned: frozenset
-
-
-def reduced_model(
-    g: Multigraph, s: Tripartition, t: Iterable[Vertex], u: Vertex, v: Vertex
-) -> ReducedModel:
-    """Contract the both-open edges, delete the none-open edges, project."""
-    validate_tripartition(g, s)
-    g.require_vertex(u)
-    g.require_vertex(v)
-    t = frozenset(t)
-    for w in t:
-        g.require_vertex(w)
-    reduced, projection = minor(g, s.none_open, s.both_open)
-    return ReducedModel(
-        graph=reduced,
-        projection=projection,
-        pu=projection[u],
-        pv=projection[v],
-        pinned=frozenset(projection[w] for w in t),
-    )
+def _check_updown(k: int, caps: Caps) -> None:
+    """Refuse an up/down model over k domain edges past the cap."""
+    if k > caps.max_updown_bits:
+        raise CapExceededError(
+            f"up-down enumeration needs 2^{k} assignments; "
+            f"raise max_updown_bits to at least {k} "
+            f"(currently {caps.max_updown_bits})"
+        )
 
 
-def classify(
-    g: Multigraph,
-    s: Tripartition,
-    t: Iterable[Vertex],
-    u: Vertex,
-    v: Vertex,
-    *,
-    model: Optional[ReducedModel] = None,
-) -> tuple[DistanceClass, float]:
-    """Distance class of the tripartition and the distance itself."""
-    model = model if model is not None else reduced_model(g, s, t, u, v)
-    d = vertical_free_distance(model.graph, model.pu, model.pv, model.pinned)
-    if d == INFINITY:
-        return DistanceClass.UNREACHABLE, d
-    if d <= 1:
-        return DistanceClass.AT_MOST_ONE, d
-    return DistanceClass.AT_LEAST_TWO, d
+def _row(
+    g: Multigraph, rg: Multigraph, projection: dict, u: Vertex, v: Vertex
+) -> tuple[list, dict, tuple]:
+    """Domain of a reduced graph, image bit of each vertex of g, _outcomes ends.
 
-
-def _domain(rg: Multigraph, caps: Caps) -> tuple[dict, list]:
-    """Vertex indices of a reduced graph and its (id, a, b) non-loop edges.
-
-    Bit i of an up/down assignment chooses UP for edge i of the domain.
+    The domain is the (id, a, b) non-loop edges over vertex indices; bit
+    i of an up/down assignment chooses UP for edge i.  The ends are the
+    _f_parts and _outcomes arguments before the pinned images.
     """
     index = {x: r for r, x in enumerate(rg.vertices)}
     domain = [(eid, index[a], index[b]) for eid, a, b in rg.edges if a != b]
-    if len(domain) > caps.max_updown_bits:
-        raise CapExceededError(
-            f"up-down enumeration needs 2^{len(domain)} assignments; "
-            f"raise max_updown_bits to at least {len(domain)} "
-            f"(currently {caps.max_updown_bits})"
-        )
-    return index, domain
+    images = {w: 1 << index[projection[w]] for w in g.vertices}
+    return domain, images, (len(index), index[projection[u]], index[projection[v]], domain)
+
+
+def _single(
+    g: Multigraph, s: Tripartition, t: Iterable[Vertex], u: Vertex, v: Vertex, caps: Caps
+) -> tuple[list, tuple]:
+    """Domain and _f_parts/_outcomes arguments of one tripartition, posts fixed."""
+    validate_tripartition(g, s)
+    t = frozenset(t)
+    for w in (u, v, *t):
+        g.require_vertex(w)
+    domain, images, ends = _row(g, *minor(g, s.none_open, s.both_open), u, v)
+    _check_updown(len(domain), caps)
+    return domain, (*ends, _image(images, t))
 
 
 def _f_parts(n: int, pu: int, pv: int, domain: list, pinned: Optional[int]):
@@ -249,9 +221,11 @@ def _outcomes(
 ) -> list[_Outcome]:
     """Class, f-sum, factor and checks for every image set of _f_parts.
 
-    The class matches classify: unreachable when the v image is off the
-    pinned-free side of the u image, at most one when the images are
-    equal or adjacent, at least two otherwise.
+    The class coarsens the pinned-free distance between the endpoint
+    images: unreachable when the v image is off the pinned-free side of
+    the u image, at most one when the images are equal or adjacent, at
+    least two otherwise.  The factor is P(u0~v0) - P(u0~v1), half the
+    mean of f because swapping every edge's level preserves the measure.
     """
     k = len(domain)
     w = min(k, enumeration._LANE_BITS)
@@ -294,36 +268,6 @@ def _outcomes(
     return out
 
 
-def _model_args(model: ReducedModel, caps: Caps) -> tuple[list, tuple]:
-    """Domain of a model and its _f_parts/_outcomes arguments, posts fixed."""
-    index, domain = _domain(model.graph, caps)
-    pinned = sum(1 << index[x] for x in model.pinned)
-    return domain, (len(index), index[model.pu], index[model.pv], domain, pinned)
-
-
-def updown_difference(
-    g: Multigraph,
-    s: Tripartition,
-    t: Iterable[Vertex],
-    u: Vertex,
-    v: Vertex,
-    *,
-    caps: Caps = DEFAULT_CAPS,
-    model: Optional[ReducedModel] = None,
-) -> Fraction:
-    """Exact factor of the tripartition in the expansion.
-
-    In the reduced model each non-loop edge opens its upper or lower
-    copy with probability 1/2; the factor is the probability the
-    endpoint images connect on the bottom level minus the probability
-    the bottom image of u connects to the top image of v.  Swapping the
-    levels of every edge preserves the measure, so this is half the mean
-    of the symmetrized indicator from updown_f_values.
-    """
-    model = model if model is not None else reduced_model(g, s, t, u, v)
-    return _outcomes(*_model_args(model, caps)[1])[0].factor
-
-
 def updown_f_values(
     g: Multigraph,
     s: Tripartition,
@@ -332,7 +276,6 @@ def updown_f_values(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    model: Optional[ReducedModel] = None,
 ) -> tuple[tuple, list[int]]:
     """Per-assignment symmetrized indicator over the up-down model.
 
@@ -341,8 +284,7 @@ def updown_f_values(
     of [both bottoms connect] + [both tops connect] - [bottom-to-top]
     - [top-to-bottom] between the endpoint images.
     """
-    model = model if model is not None else reduced_model(g, s, t, u, v)
-    domain, args = _model_args(model, caps)
+    domain, args = _single(g, s, t, u, v, caps)
     values = [
         ((a >> m) & 1) + ((b >> m) & 1) - ((c >> m) & 1) - ((d >> m) & 1)
         for a, b, c, d in _f_parts(*args)
@@ -414,7 +356,7 @@ def _analyses(
     v: Vertex,
     sets: list[frozenset],
     caps: Caps,
-    table: Optional[TripartitionTable],
+    table: Optional[TripartitionTable] = None,
 ) -> Iterator[TripartitionAnalysis]:
     """One lane pass per tripartition, then the analysis of each pinned set.
 
@@ -425,12 +367,14 @@ def _analyses(
     """
     for w in (u, v, *sets[0]):
         g.require_vertex(w)
+    # The all-one-open tripartition keeps every non-loop edge in its
+    # domain, and no reduced graph has more, so this bounds every row.
+    _check_updown(sum(a != b for _, a, b in g.edges), caps)
     table = table if table is not None else TripartitionTable.build(g, caps)
-    domains = [_domain(rg, caps) for rg in table.reduced]  # every cap, no lane yet
-    passes = []
-    for (index, domain), projection in zip(domains, table.projections):
-        images = {w: 1 << index[projection[w]] for w in g.vertices}
-        ends = (len(index), index[projection[u]], index[projection[v]], domain)
+    passes, domains = [], []
+    for rg, projection in zip(table.reduced, table.projections):
+        domain, images, ends = _row(g, rg, projection, u, v)
+        domains.append(domain)
         if len(sets) > 1:
             passes.append((images, _outcomes(*ends, None)))
         else:
@@ -456,7 +400,7 @@ def _analysis(
     bits = 2 * table.graph.edge_count
     class_mass = {cls: [0] * (bits + 1) for cls in DistanceClass}
     expansion = [0] * (bits + 1)
-    for s, (_, domain), out in zip(table.tripartitions, domains, outcomes):
+    for s, domain, out in zip(table.tripartitions, domains, outcomes):
         ones = len(s.one_open)
         j = ones + 2 * len(s.both_open)
         class_mass[out.cls][j] += 1 << ones
@@ -513,14 +457,12 @@ def mirroring_involution_check(
     exactly zero.
     """
     t = frozenset(t)
-    model = reduced_model(g, s, t, u, v)
-    cls, d = classify(g, s, t, u, v, model=model)
-    if cls is not DistanceClass.UNREACHABLE:
+    domain, args = _single(g, s, t, u, v, caps)
+    out = _outcomes(*args)[0]
+    if out.cls is not DistanceClass.UNREACHABLE:
         raise ValueError(
             "mirroring involution applies only to unreachable tripartitions"
         )
-    domain, args = _model_args(model, caps)
-    out = _outcomes(*args)[0]
     return VerificationReport(
         check="mirroring_involution",
         verdict=PASS if (out.negates and out.factor == 0) else FAIL,
@@ -552,14 +494,13 @@ def expansion_identity_check(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    table: Optional[TripartitionTable] = None,
     analysis: Optional[TripartitionAnalysis] = None,
     difference: Optional[RationalPoly] = None,
 ) -> VerificationReport:
     """Exact equality of the conditional difference and its expansion."""
     t = frozenset(t)
     if analysis is None:
-        analysis = analyze_tripartitions(g, t, u, v, caps=caps, table=table)
+        analysis = analyze_tripartitions(g, t, u, v, caps=caps)
     if difference is None:
         difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
     equal = difference == analysis.expansion_sum
@@ -584,7 +525,6 @@ def bound_report(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    table: Optional[TripartitionTable] = None,
     analysis: Optional[TripartitionAnalysis] = None,
     difference: Optional[RationalPoly] = None,
 ) -> VerificationReport:
@@ -606,7 +546,7 @@ def bound_report(
     """
     t = frozenset(t)
     if analysis is None:
-        analysis = analyze_tripartitions(g, t, u, v, caps=caps, table=table)
+        analysis = analyze_tripartitions(g, t, u, v, caps=caps)
     if difference is None:
         difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
     m = g.edge_count
@@ -717,11 +657,10 @@ def verify_conditioning(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    table: Optional[TripartitionTable] = None,
 ) -> list[VerificationReport]:
     """Expansion, bounds, and sign reports for one pinned set."""
     t = frozenset(t)
-    analysis = analyze_tripartitions(g, t, u, v, caps=caps, table=table)
+    analysis = analyze_tripartitions(g, t, u, v, caps=caps)
     return _conditioning_reports(g, t, u, v, analysis, caps)
 
 
@@ -747,13 +686,13 @@ def verify_theorem(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    table: Optional[TripartitionTable] = None,
 ) -> tuple[str, list[VerificationReport]]:
     """Run every per-conditioning check over all subsets of the vertices.
 
     The caps are checked on the total work before anything is built:
     2^|V| conditioned enumerations of 2^(2|E|) configurations each, as
-    many as one unconditioned enumeration, and 3^|E| tripartitions.
+    many as one unconditioned enumeration, 3^|E| tripartitions, and
+    up/down models over at most the non-loop edges of the graph.
     """
     n = g.vertex_count
     _check_cap(2 * g.edge_count + n, caps)
@@ -763,6 +702,6 @@ def verify_theorem(
         for code in range(1 << n)
     ]
     reports: list[VerificationReport] = []
-    for t, analysis in zip(sets, _analyses(g, u, v, sets, caps, table)):
+    for t, analysis in zip(sets, _analyses(g, u, v, sets, caps)):
         reports.extend(_conditioning_reports(g, t, u, v, analysis, caps))
     return aggregate_verdict(r.verdict for r in reports), reports

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -17,6 +18,7 @@ from bunkbed import (
     DISCREPANCY,
     DistanceClass,
     FAIL,
+    INFINITY,
     Multigraph,
     PASS,
     RationalPoly,
@@ -25,26 +27,25 @@ from bunkbed import (
     VAR_P,
     analyze_tripartitions,
     bound_report,
-    classify,
     counts_to_polynomial,
     difference_polynomial,
     enumerate_tripartitions,
     expansion_identity_check,
+    minor,
     mirroring_involution_check,
     parse_edge_list,
-    reduced_model,
     theorem_sign_check,
     threshold_point,
-    updown_difference,
     updown_f_values,
     validate_tripartition,
     verify_conditioning,
     verify_theorem,
+    vertical_free_distance,
 )
 import bunkbed.enumeration
 import bunkbed.tripartitions
+from bunkbed.graphs import Vertex
 from bunkbed.tripartitions import (
-    ReducedModel,
     TripartitionAnalysis,
     _analyses,
     _below,
@@ -57,8 +58,49 @@ poly = lambda coeffs: RationalPoly(coeffs, VAR_P)
 PATH5_TEXT = "a b\nb c\nc d\nd e\ne f"
 
 
-# Reference oracles: the per-mask union-find and the per-pinned-set loop
-# the library ran before it solved every tripartition on bit lanes.
+# Reference oracles: the reduced model with its BFS distance class, the
+# per-mask union-find and the per-pinned-set loop the library ran before
+# it solved every tripartition on bit lanes.
+
+
+@dataclass(frozen=True)
+class ReducedModel:
+    """Reduced graph with endpoint and pinned images for one tripartition."""
+
+    graph: Multigraph
+    projection: dict
+    pu: Vertex
+    pv: Vertex
+    pinned: frozenset
+
+
+def reduced_model(g, s, t, u, v) -> ReducedModel:
+    """Contract the both-open edges, delete the none-open edges, project."""
+    validate_tripartition(g, s)
+    g.require_vertex(u)
+    g.require_vertex(v)
+    t = frozenset(t)
+    for w in t:
+        g.require_vertex(w)
+    reduced, projection = minor(g, s.none_open, s.both_open)
+    return ReducedModel(
+        graph=reduced,
+        projection=projection,
+        pu=projection[u],
+        pv=projection[v],
+        pinned=frozenset(projection[w] for w in t),
+    )
+
+
+def classify(g, s, t, u, v, *, model=None) -> tuple[DistanceClass, float]:
+    """Distance class of the tripartition and the BFS distance itself."""
+    model = model if model is not None else reduced_model(g, s, t, u, v)
+    d = vertical_free_distance(model.graph, model.pu, model.pv, model.pinned)
+    if d == INFINITY:
+        return DistanceClass.UNREACHABLE, d
+    if d <= 1:
+        return DistanceClass.AT_MOST_ONE, d
+    return DistanceClass.AT_LEAST_TWO, d
 
 
 def _updown_arena(model, caps):
@@ -301,21 +343,24 @@ class TestFactors:
             (frozenset(), frozenset({0}), frozenset()): Fraction(1, 2),
             (frozenset(), frozenset(), frozenset({0})): Fraction(1),
         }
-        for s in enumerate_tripartitions(k2):
+        factors = analyze_tripartitions(k2, t, "u", "v").factors
+        for s, factor in zip(enumerate_tripartitions(k2), factors, strict=True):
             key = (s.none_open, s.one_open, s.both_open)
             assert reference_updown_difference(k2, s, t, "u", "v") == expected[key]
-            assert updown_difference(k2, s, t, "u", "v") == expected[key]
+            assert factor == expected[key]
 
     def test_factor_equals_half_mean_of_f(self, family):
         for name in ("path2", "triangle", "double_edge"):
             g = family[name]
             x, y = g.vertices[0], g.vertices[-1]
             for t in (frozenset(), frozenset({g.vertices[0]}), frozenset(g.vertices)):
-                for s in enumerate_tripartitions(g):
+                factors = analyze_tripartitions(g, t, x, y).factors
+                tripartitions = enumerate_tripartitions(g)
+                for s, factor in zip(tripartitions, factors, strict=True):
                     F = reference_updown_difference(g, s, t, x, y)
                     _, values = updown_f_values(g, s, t, x, y)
                     assert F == Fraction(sum(values), 2 * len(values))
-                    assert updown_difference(g, s, t, x, y) == F
+                    assert factor == F
 
     def test_f_sum_is_even(self, family):
         # Flipping every edge's level maps a mask to its complement and
@@ -324,9 +369,8 @@ class TestFactors:
             table = TripartitionTable.build(g)
             x, y = g.vertices[0], g.vertices[-1]
             for t in _pinned_sets(g):
-                for i, s in enumerate(table.tripartitions):
-                    model = _table_model(table, i, t, x, y)
-                    _, values = updown_f_values(g, s, t, x, y, model=model)
+                for s in table.tripartitions:
+                    _, values = updown_f_values(g, s, t, x, y)
                     assert sum(values) % 2 == 0, (name, t, s)
 
     def test_f_values_bounded(self, family):
@@ -342,17 +386,18 @@ class TestFactors:
             one_open=frozenset(g.edge_ids),
             both_open=frozenset(),
         )
-        with pytest.raises(CapExceededError):
-            updown_difference(
-                g, all_one, frozenset(), "a", "c", caps=Caps(max_updown_bits=3)
-            )
+        for check in (updown_f_values, mirroring_involution_check):
+            with pytest.raises(CapExceededError):
+                check(g, all_one, frozenset(), "a", "c", caps=Caps(max_updown_bits=3))
 
 
 class TestClassify:
     def test_k2_classes(self, k2):
         by_key = {}
-        for s in enumerate_tripartitions(k2):
+        classes = analyze_tripartitions(k2, frozenset(), "u", "v").classes
+        for s, lane_cls in zip(enumerate_tripartitions(k2), classes, strict=True):
             cls, d = classify(k2, s, frozenset(), "u", "v")
+            assert lane_cls is cls
             by_key[(len(s.none_open), len(s.one_open), len(s.both_open))] = (cls, d)
         assert by_key[(1, 0, 0)][0] == DistanceClass.UNREACHABLE
         assert by_key[(0, 1, 0)] == (DistanceClass.AT_MOST_ONE, 1)
@@ -426,6 +471,22 @@ class TestMirroring:
         )
         with pytest.raises(ValueError):
             mirroring_involution_check(k2, s, frozenset(), "u", "v")
+
+    def test_rejects_exactly_the_reachable_classes(self, family):
+        # The lane pass decides the class; the BFS oracle must agree on
+        # which tripartitions the involution applies to.
+        for name in ("path4", "cycle4", "paw"):
+            g = family[name]
+            x, y = g.vertices[0], g.vertices[-1]
+            for t in (frozenset(), frozenset({g.vertices[1]}), frozenset(g.vertices)):
+                for s in enumerate_tripartitions(g):
+                    cls, _ = classify(g, s, t, x, y)
+                    if cls is DistanceClass.UNREACHABLE:
+                        report = mirroring_involution_check(g, s, t, x, y)
+                        assert report.verdict == PASS, (name, t, s)
+                    else:
+                        with pytest.raises(ValueError):
+                            mirroring_involution_check(g, s, t, x, y)
 
 
 class TestBoundReport:
@@ -658,7 +719,10 @@ class TestLanePass:
         g = family["k2"]
         table = TripartitionTable.build(g)
         none, one, both = table.tripartitions
-        domains = [bunkbed.tripartitions._domain(rg, DEFAULT_CAPS) for rg in table.reduced]
+        domains = [
+            bunkbed.tripartitions._row(g, rg, projection, "u", "v")[0]
+            for rg, projection in zip(table.reduced, table.projections)
+        ]
         def outcome(cls, total, factor, negative):
             return bunkbed.tripartitions._Outcome(
                 cls, total, side=1, flip=0, negative=negative, negates=True, factor=factor
@@ -692,7 +756,7 @@ class TestLanePass:
         with pytest.raises(CapExceededError, match="max_updown_bits"):
             verify_theorem(g, "a", "c", caps=caps)
         all_one = Tripartition(frozenset(), frozenset(g.edge_ids), frozenset())
-        for check in (updown_difference, updown_f_values):
+        for check in (updown_f_values, mirroring_involution_check):
             with pytest.raises(CapExceededError, match="max_updown_bits"):
                 check(g, all_one, frozenset(), "a", "c", caps=caps)
 
@@ -709,6 +773,25 @@ class TestLanePass:
             verify_theorem(g, "a", "e", caps=Caps(max_config_bits=10))
         with pytest.raises(CapExceededError, match="max_tripartitions"):
             verify_theorem(g, "a", "e", caps=Caps(max_tripartitions=3 ** 4 - 1))
+
+    def test_updown_cap_names_enough_before_building(self, monkeypatch):
+        # The widest up/down model is the all-one-open tripartition's, on
+        # every non-loop edge; the refusal must name that width, before
+        # any minor or table is built.
+        def no_build(*args, **kwargs):
+            raise AssertionError("a minor was built before the up/down cap was checked")
+
+        g = parse_edge_list(PATH5_TEXT)
+        with monkeypatch.context() as patch:
+            patch.setattr(bunkbed.tripartitions, "minor", no_build)
+            patch.setattr(TripartitionTable, "build", no_build)
+            for caps in (Caps(max_updown_bits=3), Caps(max_updown_bits=4)):
+                with pytest.raises(CapExceededError, match="at least 5 "):
+                    verify_theorem(g, "a", "f", caps=caps)
+                with pytest.raises(CapExceededError, match="at least 5 "):
+                    analyze_tripartitions(g, frozenset(), "a", "f", caps=caps)
+        verdict, _ = verify_theorem(g, "a", "f", caps=Caps(max_updown_bits=5))
+        assert verdict == FAIL  # the documented path5 mass-domination failure
 
 
 @st.composite
