@@ -1,9 +1,13 @@
-"""Bit-sliced enumeration kernel against three independent counters.
+"""The counting kernel's two paths against four independent counters.
 
-reference_counts_dfs and reference_counts_scratch are the two kernels the
-bit lanes replaced; naive_counts shares no code with either.  Tests that
+connection_counts runs a one-lane bit-sliced pass for small item counts
+and a frontier pass above them; tests force each path by moving the
+crossover with a monkeypatch.  reference_counts_dfs and
+reference_counts_scratch are the two kernels the bit lanes replaced,
+reference_counts_lanes is the multi-shard lane counter the frontier pass
+replaced, and naive_counts shares no code with any of them.  Tests that
 must cross the boundary between lane items and prefix shards on small
-instances shrink the kernel's lane width with a monkeypatch.
+instances shrink the lane oracle's width with a monkeypatch.
 """
 
 from __future__ import annotations
@@ -147,11 +151,54 @@ def naive_counts(num_vertices, base_pairs, items, queries):
     return results
 
 
+def reference_counts_lanes(num_vertices, base_pairs, items, queries):
+    """Bit-sliced counter over prefix shards of the up/down lane layout.
+
+    The first L items are the bits of one 2^L-bit lane and the others are
+    fixed per prefix shard; a query's count in bucket h + j is the
+    popcount of its lane over the bits with j ones, h being the number of
+    ones in the shard's prefix.
+    """
+    items = [tuple(map(tuple, item)) for item in items]
+    k = len(items)
+    sources = sorted({a for query in queries for a, _ in query})
+    lanes, reach_of = enumeration._shard_reach(num_vertices, base_pairs, items, sources)
+    full = (1 << (1 << lanes)) - 1
+    weights = enumeration._weight_masks(lanes)
+    counts = [[0] * (k + 1) for _ in queries]
+    for prefix in range(1 << (k - lanes)):
+        reach = reach_of(prefix)
+        h = prefix.bit_count()
+        for row, query in zip(counts, queries):
+            sat = full
+            for a, b in query:
+                sat &= reach[a][b]
+            for j, mask in enumerate(weights):
+                row[h + j] += (sat & mask).bit_count()
+    return counts
+
+
 def counts_with_lane_bits(lane_bits, *args):
-    """The kernel's counts with its lane width forced to lane_bits."""
+    """The lane oracle's counts with its lane width forced to lane_bits."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_LANE_BITS", lane_bits)
+        return reference_counts_lanes(*args)
+
+
+# Crossover values that send every item count to one path of the kernel.
+PATHS = {"lanes": 1 << 30, "frontier": -1}
+
+
+def counts_on_path(path, *args):
+    """The kernel's counts with every call sent to the named path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_LANE_ITEMS", PATHS[path])
         return connection_counts(*args)
+
+
+def assert_paths_match(expected, *args):
+    for path in PATHS:
+        assert counts_on_path(path, *args) == expected, (path, args)
 
 
 def pair_strategy(n):
@@ -185,12 +232,22 @@ class TestAgainstNaive:
         expected = reference_counts_dfs(*instance)
         assert counts_with_lane_bits(lane_bits, *instance) == expected
         assert naive_counts(*instance) == expected
+        assert_paths_match(expected, *instance)
 
     @given(instances, lane_widths)
     @settings(max_examples=150, deadline=None)
     def test_matches_scratch_oracle(self, instance, lane_bits):
         expected = reference_counts_scratch(*instance)
         assert counts_with_lane_bits(lane_bits, *instance) == expected
+        assert_paths_match(expected, *instance)
+
+    @given(instances, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_item_order_does_not_change_counts(self, instance, data):
+        n, base_pairs, items, queries = instance
+        shuffled = data.draw(st.permutations(items), label="items")
+        expected = reference_counts_scratch(*instance)
+        assert_paths_match(expected, n, base_pairs, shuffled, queries)
 
 
 # Queries with the empty conjunction, a pair (a, a) and conjunctions.
@@ -221,6 +278,29 @@ class TestShardBoundaries:
                 assert reference_counts_scratch(*args) == expected
                 got = counts_with_lane_bits(lane_bits, *args)
                 assert got == expected, (k, seed)
+                assert_paths_match(expected, *args)
+
+    def test_crossover_selects_the_path(self, monkeypatch):
+        calls = []
+        frontier = enumeration._frontier_counts
+        shard_reach = enumeration._shard_reach
+
+        def spy(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(enumeration, "_frontier_counts", spy("frontier", frontier))
+        monkeypatch.setattr(enumeration, "_shard_reach", spy("lanes", shard_reach))
+        crossover = enumeration._LANE_ITEMS
+        assert crossover < enumeration._LANE_BITS
+        for k, path in ((crossover, "lanes"), (crossover + 1, "frontier")):
+            args = (4, [(1, 2)], _boundary_items(k, k), BOUNDARY_QUERIES)
+            expected = reference_counts_lanes(*args)
+            calls.clear()
+            assert connection_counts(*args) == expected
+            assert calls == [path], k
 
 
 class TestEdgeCases:
@@ -252,12 +332,45 @@ class TestEdgeCases:
             (2, [], [((), ((0, 1),))], [()]),
             (2, [(0, 1)], [((), ((0, 1),))] * 5, [((0, 1),)]),
             (3, [], [(((0, 1),), ((1, 2),)), (((1, 1),), ())], [((0, 2),), ((1, 1),)]),
+            # Vertices no item touches, and base pairs alone.
+            (5, [(0, 1)], [((), ((1, 2),))], [((0, 2),), ((3, 3),), ((3, 4),), ((0, 4),)]),
+            (4, [(0, 1), (1, 2), (3, 3)], [], [((0, 2),), ((2, 3),), (), ((3, 3), (0, 1))]),
+            (3, [], [((), ())] * 3, [(), ((0, 0),), ((0, 1),)]),
         ]
         for args in cases:
             expected = reference_counts_dfs(*args)
             assert reference_counts_scratch(*args) == expected
+            assert naive_counts(*args) == expected
             for lane_bits in (1, 2, enumeration._LANE_BITS):
                 assert counts_with_lane_bits(lane_bits, *args) == expected, args
+            assert_paths_match(expected, *args)
+
+    @pytest.mark.parametrize("args", [
+        (2, [(0, 1)], [((), ((0, 1),))], [((0, -1),)]),
+        (2, [(0, 2)], [((), ((0, 1),))], [((0, 1),)]),
+        (2, [], [((), ((0, 1),)), (((1, -2),), ())], [((0, 1),)]),
+        (2, [], [((), ((0, 1),))], [((0, 1), (1, 2))]),
+        (0, [], [], [((0, 0),)]),
+    ])
+    def test_vertex_index_outside_range_is_refused(self, args):
+        # Unchecked, a negative index aliases another vertex and one past
+        # the end fails deep inside a pass.
+        with pytest.raises(ValueError, match="outside"):
+            connection_counts(*args)
+        for path in PATHS:
+            with pytest.raises(ValueError, match="outside"):
+                counts_on_path(path, *args)
+
+    def test_k5_posts_randomized_matches_lane_oracle(self):
+        # 10 edges on two levels and 5 posts: 25 items, past the crossover.
+        edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+        items = [((), ((2 * a + level, 2 * b + level),))
+                 for a, b in edges for level in (0, 1)]
+        items += [((), ((2 * v, 2 * v + 1),)) for v in range(5)]
+        queries = [((0, 8),), ((0, 9),), ((0, 8), (0, 9))]
+        expected = reference_counts_lanes(10, [], items, queries)
+        assert connection_counts(10, [], items, queries) == expected
+        assert sum(expected[2]) > 0
 
     def test_multiple_queries_one_pass(self):
         items = [

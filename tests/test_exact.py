@@ -33,7 +33,12 @@ from bunkbed import (
 
 from bunkbed.exact import _build_arena
 from conftest import family_graphs
-from test_enumeration import reference_counts_dfs, reference_counts_scratch
+from test_enumeration import (
+    counts_on_path,
+    reference_counts_dfs,
+    reference_counts_lanes,
+    reference_counts_scratch,
+)
 
 
 def brute_connection_poly(g, a, b, pinned):
@@ -219,6 +224,9 @@ class TestInvariances:
                 expected = reference_counts_dfs(*args)
                 if arena.bits <= 16:
                     assert reference_counts_scratch(*args) == expected, (name, pinned)
+                    assert counts_on_path("lanes", *args) == expected, (name, pinned)
+                assert reference_counts_lanes(*args) == expected, (name, pinned)
+                assert counts_on_path("frontier", *args) == expected, (name, pinned)
                 assert connection_counts(*args) == expected, (name, pinned)
                 polys = connection_query_polynomials(g, queries, pinned)
                 assert polys == [counts_to_polynomial(row, arena.bits) for row in expected]
