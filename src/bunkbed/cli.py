@@ -22,12 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .enumeration import Caps, DEFAULT_CAPS, CapExceededError
-from .exact import (
-    bunkbed_vertex,
-    endpoint_polynomials,
-    geodesic_check,
-    threshold_point,
-)
+from .exact import endpoint_polynomials, geodesic_check, threshold_point
 from .graphs import GraphParseError, Multigraph, parse_edge_list
 from .line import gap_holds, gap_polynomial, gaussian_limit, line_quantities, series_report
 from .montecarlo import (
@@ -35,11 +30,9 @@ from .montecarlo import (
     estimate_difference,
     estimate_to_json_obj,
 )
-from .polynomials import VAR_P, format_fraction
+from .polynomials import format_fraction
 from .reports import (
-    DISCREPANCY,
     FAIL,
-    PARTIAL,
     PASS,
     VerificationReport,
     aggregate_verdict,

@@ -7,15 +7,20 @@ copy / the upper copy).  For each query, a conjunction of vertex pairs,
 the kernel counts satisfying configurations bucketed by the number of
 1-bits.  Those integer buckets are the whole interface.
 
+_bunkbed_items is the one place that lays a bunkbed out as base pairs
+and items: base vertex r has copies 2r and 2r + 1.  The exact
+polynomials, the Monte Carlo shards and the up/down model all use it.
+
 The kernel has two paths, chosen by k alone.  Up to _LANE_ITEMS items it
-is bit-sliced: bit x of a 2^k-bit lane stands for the configuration
-whose item bits spell x, so an edge chosen by bit 1 of item i is open on
-the lane "bit i of x is 1" and one chosen by bit 0 on its complement.
-Reachability from each query source spreads as (reach[a] | reach[b]) &
-lane until a sweep changes nothing; a query's count in bucket j is the
-popcount, over the bits x with j ones, of the AND of its pairs' lanes.
-The up/down model of tripartitions runs the same layout over prefix
-shards, fixing the items past the first _LANE_BITS per shard.
+is bit-sliced (_lane_reach): bit x of a 2^k-bit lane stands for the
+configuration whose item bits spell x, so an edge chosen by bit 1 of
+item i is open on the lane "bit i of x is 1" and one chosen by bit 0 on
+its complement.  Reachability from each query source spreads as
+(reach[a] | reach[b]) & lane until a sweep changes nothing; a query's
+count in bucket j is the popcount, over the bits x with j ones, of the
+AND of its pairs' lanes.  The up/down model of tripartitions runs its
+own prefix shards over _lane_reach: the first _LANE_BITS items share a
+lane and each shard fixes the others.
 
 Above _LANE_ITEMS items a frontier (transfer-matrix) pass runs, its cost
 following the width of the graph instead of 2^k.  Base pairs and items
@@ -29,11 +34,8 @@ after its last; query vertices stay to the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-VertexIndex = int
-Pair = tuple[VertexIndex, VertexIndex]
-ChoiceItem = tuple[tuple[Pair, ...], tuple[Pair, ...]]
-Query = tuple[Pair, ...]
+from functools import cache
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -78,8 +80,10 @@ def _spread(reach: list[int], edges) -> None:
                 changed = True
 
 
-def _item_lanes(lanes: int, full: int) -> list[int]:
-    """Lane i has bit x set iff bit i of x is 1."""
+@cache
+def _item_lanes(lanes: int) -> tuple[int, ...]:
+    """Lane i has bit x set iff bit i of x is 1, for x < 2^lanes."""
+    full = (1 << (1 << lanes)) - 1
     out = []
     for i in range(lanes):
         half = 1 << i
@@ -87,7 +91,7 @@ def _item_lanes(lanes: int, full: int) -> list[int]:
         # period of 2 half bits; the block fills that period's upper half.
         block = ((1 << half) - 1) << half
         out.append(full // ((1 << 2 * half) - 1) * block)
-    return out
+    return tuple(out)
 
 
 def _weight_masks(lanes: int) -> list[int]:
@@ -98,33 +102,42 @@ def _weight_masks(lanes: int) -> list[int]:
     return masks
 
 
-def _shard_reach(num_vertices: int, base_pairs, items, sources):
-    """The lane layout of the kernel, shared with the up/down model.
+def _bunkbed_items(n: int, edges, pinned: Optional[int], updown: bool = False):
+    """The kernel's base pairs and items for the bunkbed over n base vertices.
 
-    Returns L, the number of items whose settings are the bits of one
-    2^L-bit lane, and a function from a prefix shard (the settings of
-    the other items) to the reach lanes of each source in that shard.
+    Base vertex r has copies 2r (level 0) and 2r + 1 (level 1).  Each
+    base edge (a, b) gives two percolation items, level 0 then level 1,
+    or with updown one item choosing the level-0 copy on bit 0 and the
+    level-1 copy on bit 1.  pinned=None appends one percolation item per
+    post; otherwise the posts whose bits pinned sets are base pairs.
     """
-    lanes = min(len(items), _LANE_BITS)
-    full = (1 << (1 << lanes)) - 1
-    lane_edges = [(a, b, full) for a, b in base_pairs]
-    for (edges0, edges1), ones in zip(items, _item_lanes(lanes, full)):
-        lane_edges += [(a, b, full ^ ones) for a, b in edges0]
-        lane_edges += [(a, b, ones) for a, b in edges1]
-    fixed = items[lanes:]
+    items = []
+    for a, b in edges:
+        lower, upper = (2 * a, 2 * b), (2 * a + 1, 2 * b + 1)
+        items += [((lower,), (upper,))] if updown else [((), (lower,)), ((), (upper,))]
+    posts = [(2 * r, 2 * r + 1) for r in range(n)]
+    if pinned is None:
+        return [], items + [((), (post,)) for post in posts]
+    return [post for r, post in enumerate(posts) if (pinned >> r) & 1], items
 
-    def reach_of(prefix: int) -> dict[int, list[int]]:
-        edges = list(lane_edges)
-        for i, item in enumerate(fixed):
-            edges += [(a, b, full) for a, b in item[(prefix >> i) & 1]]
-        reach = {}
-        for s in sources:
-            reach[s] = [0] * num_vertices
-            reach[s][s] = full
-            _spread(reach[s], edges)
-        return reach
 
-    return lanes, reach_of
+def _lane_reach(num_vertices: int, base_pairs, items, sources) -> dict[int, list[int]]:
+    """Reach lanes of each source, the settings of all items on one lane.
+
+    Bit x of a lane stands for the configuration whose item bits spell
+    x; reach[s][y] has bit x set when s reaches y in that configuration.
+    """
+    full = (1 << (1 << len(items))) - 1
+    edges = [(a, b, full) for a, b in base_pairs]
+    for (edges0, edges1), ones in zip(items, _item_lanes(len(items))):
+        edges += [(a, b, full ^ ones) for a, b in edges0]
+        edges += [(a, b, ones) for a, b in edges1]
+    reach = {}
+    for s in sources:
+        reach[s] = [0] * num_vertices
+        reach[s][s] = full
+        _spread(reach[s], edges)
+    return reach
 
 
 def _frontier_counts(num_vertices: int, base_pairs, items, queries) -> list[list[int]]:
@@ -227,8 +240,7 @@ def connection_counts(
         return _frontier_counts(num_vertices, base_pairs, items, queries)
 
     sources = sorted({a for query in queries for a, _ in query})
-    _, reach_of = _shard_reach(num_vertices, base_pairs, items, sources)
-    reach = reach_of(0)  # k items fit in one lane: there is one shard
+    reach = _lane_reach(num_vertices, base_pairs, items, sources)
     full = (1 << (1 << k)) - 1
     weights = _weight_masks(k)
     counts = []

@@ -19,6 +19,7 @@ from .enumeration import (
     Caps,
     DEFAULT_CAPS,
     CapExceededError,
+    _bunkbed_items,
     connection_counts,
 )
 from .graphs import INFINITY, Multigraph, Vertex, vertical_free_distance
@@ -55,55 +56,22 @@ def bunkbed(g: Multigraph) -> Multigraph:
     return Multigraph(vertices, tuple(edges))
 
 
-@dataclass(frozen=True)
-class _Arena:
-    """Index-space view of a bunkbed with a chosen vertical conditioning."""
+def _bunkbed_layout(g: Multigraph, pinned: Optional[Iterable[Vertex]]) -> tuple[dict, list, list]:
+    """Kernel index of each bunkbed vertex, and the kernel's base pairs and items.
 
-    num_vertices: int
-    base_pairs: tuple
-    items: tuple
-    item_ids: tuple
-    index: dict
-
-    @property
-    def bits(self) -> int:
-        return len(self.items)
-
-
-def _build_arena(g: Multigraph, pinned: Optional[Iterable[Vertex]]) -> _Arena:
-    index = {}
-    for i, v in enumerate(g.vertices):
-        index[(v, 0)] = 2 * i
-        index[(v, 1)] = 2 * i + 1
-
-    items = []
-    item_ids = []
-    for eid, a, b in g.edges:
-        for level in LEVELS:
-            pair = (index[(a, level)], index[(b, level)])
-            items.append(((), (pair,)))
-            item_ids.append(horizontal_edge_id(eid, level))
-
-    base_pairs = []
-    if pinned is None:
-        for v in g.vertices:
-            items.append(((), ((index[(v, 0)], index[(v, 1)]),)))
-            item_ids.append(vertical_edge_id(v))
-    else:
+    The vertex at position r of g.vertices has copies 2r and 2r + 1.
+    pinned=None randomizes the posts; otherwise the posts at pinned are open.
+    """
+    rank = {v: r for r, v in enumerate(g.vertices)}
+    if pinned is not None:
         pinned = set(pinned)
         for v in pinned:
             g.require_vertex(v)
-        for v in g.vertices:
-            if v in pinned:
-                base_pairs.append((index[(v, 0)], index[(v, 1)]))
-
-    return _Arena(
-        num_vertices=2 * g.vertex_count,
-        base_pairs=tuple(base_pairs),
-        items=tuple(items),
-        item_ids=tuple(item_ids),
-        index=index,
-    )
+        pinned = sum(1 << rank[v] for v in pinned)
+    edges = [(rank[a], rank[b]) for _, a, b in g.edges]
+    base_pairs, items = _bunkbed_items(len(rank), edges, pinned)
+    index = {(v, level): 2 * r + level for v, r in rank.items() for level in LEVELS}
+    return index, base_pairs, items
 
 
 def _check_cap(bits: int, caps: Caps) -> None:
@@ -120,9 +88,8 @@ def _query_counts(
     pinned: Optional[Iterable[Vertex]],
     caps: Caps,
 ) -> tuple[list[list[int]], int]:
-    arena = _build_arena(g, pinned)
-    _check_cap(arena.bits, caps)
-    index = arena.index
+    index, base_pairs, items = _bunkbed_layout(g, pinned)
+    _check_cap(len(items), caps)
     idx_queries = []
     for query in queries:
         pairs = []
@@ -133,10 +100,8 @@ def _query_counts(
             pairs.append((index[a], index[b]))
         idx_queries.append(tuple(pairs))
 
-    counts = connection_counts(
-        arena.num_vertices, arena.base_pairs, arena.items, idx_queries
-    )
-    return counts, arena.bits
+    counts = connection_counts(2 * g.vertex_count, base_pairs, items, idx_queries)
+    return counts, len(items)
 
 
 def counts_to_polynomial(counts: Sequence[int], bits: int) -> RationalPoly:

@@ -24,7 +24,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 from math import comb, isqrt
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .graphs import Multigraph
 from .polynomials import VAR_Q, RationalPoly

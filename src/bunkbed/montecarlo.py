@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .enumeration import _spread
-from .exact import _build_arena, vertical_edge_id
+from .exact import LEVELS, _bunkbed_layout, horizontal_edge_id, vertical_edge_id
 from .graphs import Multigraph, Vertex
 
 GENERATOR = "philox4x64-raw"
@@ -84,13 +84,17 @@ def sample_bunkbed(
     Pinned verticals are included as open; with pinned=None the vertical
     edges are sampled like the horizontal ones.
     """
-    if pinned is not None:
-        pinned = frozenset(pinned)
-    arena = _build_arena(g, pinned)
-    bits = _shard_bits(seed, 0, 1, max(1, arena.bits), _threshold(p))[0]
-    open_ids = {eid for eid, bit in zip(arena.item_ids, bits) if bit}
-    if pinned is not None:
-        open_ids |= {vertical_edge_id(v) for v in pinned}
+    # The columns in the order of the kernel's items (_bunkbed_layout)
+    ids = [horizontal_edge_id(eid, level) for eid, _, _ in g.edges for level in LEVELS]
+    open_ids = set()
+    if pinned is None:
+        ids += [vertical_edge_id(v) for v in g.vertices]
+    else:
+        for v in pinned:
+            g.require_vertex(v)
+            open_ids.add(vertical_edge_id(v))
+    bits = _shard_bits(seed, 0, 1, max(1, len(ids)), _threshold(p))[0]
+    open_ids.update(eid for eid, bit in zip(ids, bits) if bit)
     return frozenset(open_ids)
 
 
@@ -129,13 +133,13 @@ def estimate_difference(
     g.require_vertex(v)
     if samples < 1:
         raise ValueError("need at least one sample")
-    arena = _build_arena(g, pinned)
-    random_pairs = [pair for _, (pair,) in arena.items]
+    index, base_pairs, items = _bunkbed_layout(g, pinned)
+    random_pairs = [pair for _, (pair,) in items]
     threshold = _threshold(p)
-    columns = arena.bits
-    u0 = arena.index[(u, 0)]
-    v0 = arena.index[(v, 0)]
-    v1 = arena.index[(v, 1)]
+    columns = len(items)
+    u0 = index[(u, 0)]
+    v0 = index[(v, 0)]
+    v1 = index[(v, 1)]
 
     shards = range((samples + SHARD_SAMPLES - 1) // SHARD_SAMPLES)
 
@@ -151,8 +155,8 @@ def estimate_difference(
             (a, b, int.from_bytes(lane.tobytes(), "little"))
             for (a, b), lane in zip(random_pairs, packed)
         ]
-        edges += [(a, b, full) for a, b in arena.base_pairs]
-        reach = [0] * arena.num_vertices
+        edges += [(a, b, full) for a, b in base_pairs]
+        reach = [0] * (2 * g.vertex_count)
         reach[u0] = full
         _spread(reach, edges)
         same_lane, cross_lane = reach[v0], reach[v1]

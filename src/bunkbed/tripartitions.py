@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import enumeration
-from .enumeration import Caps, DEFAULT_CAPS, CapExceededError, _item_lanes
+from .enumeration import Caps, DEFAULT_CAPS, CapExceededError, _bunkbed_items, _item_lanes
 from .exact import (
     _check_cap,
     connected_avoiding,
@@ -145,26 +145,23 @@ def _single(
 def _f_parts(n: int, pu: int, pv: int, domain: list, pinned: Optional[int]):
     """Yield the f lanes of the up/down model, 2^min(k, _LANE_BITS) bits a part.
 
-    Vertex r has bunkbed copies 2r and 2r + 1.  The kernel's items are
-    the k = |domain| edges (lower copy on bit 0, upper on bit 1) and, if
-    pinned is None, the n posts above them; else the pinned posts are
-    always open.  Spreads from both copies of u give A = u0~v0, B = u1~v1,
-    C = u0~v1, D = u1~v0, so f = A + B - C - D.  Parts come in assignment
-    order: image set P owns the 2^k bits from P << k on.
+    The kernel's items are the k = |domain| edges as up/down choices and,
+    if pinned is None, the n posts after them.  The first L = min(items,
+    _LANE_BITS) items are the bits of one lane; each prefix shard fixes
+    the others, adding the copies they choose as base pairs.  Spreads
+    from both copies of u give A = u0~v0, B = u1~v1, C = u0~v1,
+    D = u1~v0, so f = A + B - C - D.  Parts come in assignment order:
+    image set P owns the 2^k bits from P << k on.
     """
-    items = [(((2 * a, 2 * b),), ((2 * a + 1, 2 * b + 1),)) for _, a, b in domain]
-    posts = [(2 * r, 2 * r + 1) for r in range(n)]
-    if pinned is None:
-        items += [((), (post,)) for post in posts]
-        base = []
-    else:
-        base = [post for r, post in enumerate(posts) if (pinned >> r) & 1]
+    base, items = _bunkbed_items(n, [(a, b) for _, a, b in domain], pinned, updown=True)
+    lanes = min(len(items), enumeration._LANE_BITS)
     u0, u1, v0, v1 = 2 * pu, 2 * pu + 1, 2 * pv, 2 * pv + 1
-    lanes, reach_of = enumeration._shard_reach(2 * n, base, items, (u0, u1))
     width = 1 << min(len(domain), lanes)
     mask = (1 << width) - 1
     for prefix in range(1 << (len(items) - lanes)):
-        reach = reach_of(prefix)
+        fixed = [pair for i, item in enumerate(items[lanes:])
+                 for pair in item[(prefix >> i) & 1]]
+        reach = enumeration._lane_reach(2 * n, base + fixed, items[:lanes], (u0, u1))
         f = (reach[u0][v0], reach[u1][v1], reach[u0][v1], reach[u1][v0])
         for shift in range(0, 1 << lanes, width):
             yield tuple(x >> shift & mask for x in f)
@@ -190,7 +187,7 @@ def _negates(parts: list, flip: int, w: int) -> bool:
     """
     if all(a ^ b == c ^ d and a & b == c & d for a, b, c, d in parts):
         return True  # f is zero at every x, so every flip negates it
-    items = _item_lanes(w, (1 << (1 << w)) - 1)
+    items = _item_lanes(w)
     low, high = flip & ((1 << w) - 1), flip >> w
     for h, (a, b, c, d) in enumerate(parts):
         mirror = []

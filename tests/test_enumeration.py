@@ -152,22 +152,25 @@ def naive_counts(num_vertices, base_pairs, items, queries):
 
 
 def reference_counts_lanes(num_vertices, base_pairs, items, queries):
-    """Bit-sliced counter over prefix shards of the up/down lane layout.
+    """Bit-sliced counter over prefix shards, as the up/down model runs them.
 
     The first L items are the bits of one 2^L-bit lane and the others are
-    fixed per prefix shard; a query's count in bucket h + j is the
-    popcount of its lane over the bits with j ones, h being the number of
-    ones in the shard's prefix.
+    fixed per prefix shard, their chosen edges joining the base pairs; a
+    query's count in bucket h + j is the popcount of its lane over the
+    bits with j ones, h being the number of ones in the shard's prefix.
     """
     items = [tuple(map(tuple, item)) for item in items]
     k = len(items)
+    lanes = min(k, enumeration._LANE_BITS)
     sources = sorted({a for query in queries for a, _ in query})
-    lanes, reach_of = enumeration._shard_reach(num_vertices, base_pairs, items, sources)
     full = (1 << (1 << lanes)) - 1
     weights = enumeration._weight_masks(lanes)
     counts = [[0] * (k + 1) for _ in queries]
     for prefix in range(1 << (k - lanes)):
-        reach = reach_of(prefix)
+        fixed = [pair for i, item in enumerate(items[lanes:])
+                 for pair in item[(prefix >> i) & 1]]
+        reach = enumeration._lane_reach(
+            num_vertices, [*base_pairs, *fixed], items[:lanes], sources)
         h = prefix.bit_count()
         for row, query in zip(counts, queries):
             sat = full
@@ -283,7 +286,7 @@ class TestShardBoundaries:
     def test_crossover_selects_the_path(self, monkeypatch):
         calls = []
         frontier = enumeration._frontier_counts
-        shard_reach = enumeration._shard_reach
+        lane_reach = enumeration._lane_reach
 
         def spy(name, fn):
             def wrapper(*args):
@@ -292,7 +295,7 @@ class TestShardBoundaries:
             return wrapper
 
         monkeypatch.setattr(enumeration, "_frontier_counts", spy("frontier", frontier))
-        monkeypatch.setattr(enumeration, "_shard_reach", spy("lanes", shard_reach))
+        monkeypatch.setattr(enumeration, "_lane_reach", spy("lanes", lane_reach))
         crossover = enumeration._LANE_ITEMS
         assert crossover < enumeration._LANE_BITS
         for k, path in ((crossover, "lanes"), (crossover + 1, "frontier")):

@@ -31,7 +31,7 @@ from bunkbed import (
     threshold_point,
 )
 
-from bunkbed.exact import _build_arena
+from bunkbed.exact import _bunkbed_layout
 from conftest import family_graphs
 from test_enumeration import (
     counts_on_path,
@@ -211,25 +211,25 @@ class TestInvariances:
             some = {"b", "e"} if {"b", "e"} <= set(g.vertices) else g.vertices[1::2]
             x0, y0, y1 = (bunkbed_vertex(x, 0), bunkbed_vertex(y, 0), bunkbed_vertex(y, 1))
             for pinned in (None, frozenset(), frozenset(some), frozenset(g.vertices)):
-                arena = _build_arena(g, pinned)
+                index, base_pairs, items = _bunkbed_layout(g, pinned)
+                bits = len(items)
                 queries = [((x0, y0),), ((x0, y1),)]
-                if arena.bits <= 16:
+                if bits <= 16:
                     # The oracles take seconds per query on the 22-bit
                     # case, so conjunctions and the scratch oracle run on
                     # the smaller ones.
                     queries.append(((x0, y0), (y1, x0)))
-                ix = arena.index
-                index_queries = [tuple((ix[a], ix[b]) for a, b in q) for q in queries]
-                args = (arena.num_vertices, arena.base_pairs, arena.items, index_queries)
+                index_queries = [tuple((index[a], index[b]) for a, b in q) for q in queries]
+                args = (2 * g.vertex_count, base_pairs, items, index_queries)
                 expected = reference_counts_dfs(*args)
-                if arena.bits <= 16:
+                if bits <= 16:
                     assert reference_counts_scratch(*args) == expected, (name, pinned)
                     assert counts_on_path("lanes", *args) == expected, (name, pinned)
                 assert reference_counts_lanes(*args) == expected, (name, pinned)
                 assert counts_on_path("frontier", *args) == expected, (name, pinned)
                 assert connection_counts(*args) == expected, (name, pinned)
                 polys = connection_query_polynomials(g, queries, pinned)
-                assert polys == [counts_to_polynomial(row, arena.bits) for row in expected]
+                assert polys == [counts_to_polynomial(row, bits) for row in expected]
 
 
 class TestCountsToPolynomial:

@@ -15,6 +15,7 @@ from bunkbed import (
     Estimate,
     Multigraph,
     agreement_check,
+    bunkbed,
     bunkbed_vertex,
     difference_polynomial,
     endpoint_polynomials,
@@ -25,7 +26,7 @@ from bunkbed import (
     sample_bunkbed,
     vertical_edge_id,
 )
-from bunkbed.exact import _build_arena
+from bunkbed.exact import _bunkbed_layout
 from bunkbed.montecarlo import (
     SHARD_SAMPLES,
     _estimate,
@@ -39,17 +40,16 @@ def reference_estimate(g, u, v, p, samples, seed, pinned=None) -> DifferenceEsti
     """Per-sample union-find over the same shards and Philox streams.
 
     This is the estimator the bit-lane spreading replaced.  It reuses the
-    library's bunkbed arena, Philox shards, threshold and moment formula,
+    library's bunkbed layout, Philox shards, threshold and moment formula,
     so only the reachability step differs and the results must be equal.
     """
-    arena = _build_arena(g, pinned)
-    random_pairs = [pair for _, (pair,) in arena.items]
+    index, base_pairs, items = _bunkbed_layout(g, pinned)
+    random_pairs = [pair for _, (pair,) in items]
     threshold = _threshold(p)
     columns = len(random_pairs)
-    index = arena.index
     u0, v0, v1 = index[(u, 0)], index[(v, 0)], index[(v, 1)]
     base_parent = list(range(2 * g.vertex_count))
-    for a, b in arena.base_pairs:
+    for a, b in base_pairs:
         base_parent[b] = base_parent[a]
 
     def root(parent, x):
@@ -85,6 +85,22 @@ def _from_totals(totals, samples, seed) -> DifferenceEstimates:
         cross_level=_estimate(cross, cross, samples, seed),
         difference=_estimate(diff, diff_sq, samples, seed),
     )
+
+
+def _reached(bb, open_ids, start) -> set:
+    """Vertices of bb that the open edge ids join to start."""
+    adjacent = {x: [] for x in bb.vertices}
+    for eid, a, b in bb.edges:
+        if eid in open_ids:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+    seen, stack = {start}, [start]
+    while stack:
+        for y in adjacent[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 ORACLE_GRAPHS = {**FAMILY_TEXT, "six_vertex": SIX_VERTEX_TEXT}
@@ -182,6 +198,26 @@ class TestSampleConfigurations:
         a = sample_bunkbed(k2, Fraction(1, 2), 123, None)
         b = sample_bunkbed(k2, Fraction(1, 2), 123, None)
         assert a == b
+
+    def test_sampled_ids_are_the_estimate_columns(self):
+        # A one-sample estimate draws the same shard-0 row as
+        # sample_bunkbed, so its two indicators must read the connections
+        # of the sampled open edges.  This pins column j of the estimate
+        # to the edge id that sample_bunkbed names for it.  The one-vertex
+        # edgeless graph draws a single padding column.
+        graphs = {name: parse_edge_list(text) for name, text in ORACLE_GRAPHS.items()}
+        graphs["lone"] = Multigraph(("x",), ())
+        for name, g in graphs.items():
+            u, v = ("u", "v") if name == "six_vertex" else (g.vertices[0], g.vertices[-1])
+            bb = bunkbed(g)
+            for pinned in (None, frozenset(), frozenset(g.vertices[::2])):
+                for seed in range(20):
+                    open_ids = sample_bunkbed(g, Fraction(1, 2), seed, pinned)
+                    est = estimate_difference(g, u, v, Fraction(1, 2), 1, seed, pinned)
+                    reached = _reached(bb, open_ids, (u, 0))
+                    assert (est.same_level.mean, est.cross_level.mean) == (
+                        float((v, 0) in reached), float((v, 1) in reached)
+                    ), (name, pinned, seed)
 
 
 class TestDeterminism:

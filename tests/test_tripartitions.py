@@ -745,7 +745,7 @@ class TestLanePass:
             raise AssertionError("a lane was built before the cap was checked")
 
         monkeypatch.setattr(bunkbed.tripartitions, "_item_lanes", no_lanes)
-        monkeypatch.setattr(bunkbed.enumeration, "_shard_reach", no_lanes)
+        monkeypatch.setattr(bunkbed.enumeration, "_lane_reach", no_lanes)
         monkeypatch.setattr(bunkbed.enumeration, "_spread", no_lanes)
         g = family["cycle4"]
         caps = Caps(max_updown_bits=3)
