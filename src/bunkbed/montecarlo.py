@@ -84,7 +84,7 @@ def sample_bunkbed(
     Pinned verticals are included as open; with pinned=None the vertical
     edges are sampled like the horizontal ones.
     """
-    # The columns in the order of the kernel's items (_bunkbed_layout)
+    # Column j is item j of _bunkbed_layout: each edge on level 0 then 1, then the posts
     ids = [horizontal_edge_id(eid, level) for eid, _, _ in g.edges for level in LEVELS]
     open_ids = set()
     if pinned is None:
