@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .enumeration import (
@@ -108,13 +107,15 @@ def counts_to_polynomial(counts: Sequence[int], bits: int) -> RationalPoly:
     """Sum of counts[j] * p^j * (1-p)^(bits-j), expanded exactly.
 
     The coefficient of p^i is the integer sum over j of
-    counts[j] * C(bits-j, i-j) * (-1)^(i-j).
+    counts[j] * C(bits-j, i-j) * (-1)^(i-j), each term the last one
+    times -(bits-i)/(i+1-j), an exact division.
     """
     coeffs = [0] * (bits + 1)
     for j, c in enumerate(counts):
         if c:
-            for r in range(bits - j + 1):
-                coeffs[j + r] += (-1) ** r * c * comb(bits - j, r)
+            for i in range(j, bits + 1):
+                coeffs[i] += c
+                c = c * (i - bits) // (i + 1 - j)
     return RationalPoly(coeffs, VAR_P)
 
 

@@ -33,6 +33,13 @@ def aggregate_verdict(verdicts) -> str:
 
 def encode_value(value):
     """Lower a report value to JSON-safe data, deterministically."""
+    kind = type(value)  # exact types first: most of a report is plain data
+    if kind in (str, int, bool, type(None)):
+        return value
+    if kind in (list, tuple):
+        return [encode_value(v) for v in value]
+    if kind is dict:
+        return {str(k): encode_value(v) for k, v in value.items()}
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):

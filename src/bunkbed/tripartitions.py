@@ -355,12 +355,14 @@ def _analyses(
     caps: Caps,
     table: Optional[TripartitionTable] = None,
 ) -> Iterator[TripartitionAnalysis]:
-    """One lane pass per tripartition, then the analysis of each pinned set.
+    """One lane pass per distinct reduced model, then each pinned set's analysis.
 
     A single pinned set gets fixed post lanes; several share one pass
-    over every pinned-image set.  Each (tripartition, image set) is
-    solved once however many pinned sets project onto it, and the
-    analyses are built lazily, one pinned set at a time.
+    over every pinned-image set.  Tripartitions with one reduced model
+    (vertex count, endpoint images and domain ends, which are all that
+    _outcomes reads, plus the image of a single set) share its outcome
+    list, so each distinct model is solved once per call.  The analyses
+    are built lazily, one pinned set at a time.
     """
     for w in (u, v, *sets[0]):
         g.require_vertex(w)
@@ -368,17 +370,17 @@ def _analyses(
     # domain, and no reduced graph has more, so this bounds every row.
     _check_updown(sum(a != b for _, a, b in g.edges), caps)
     table = table if table is not None else TripartitionTable.build(g, caps)
-    passes, domains = [], []
+    batched, passes, domains, shared = len(sets) > 1, [], [], {}
     for rg, projection in zip(table.reduced, table.projections):
         domain, images, ends = _row(g, rg, projection, u, v)
         domains.append(domain)
-        if len(sets) > 1:
-            passes.append((images, _outcomes(*ends, None)))
-        else:
-            fixed = _image(images, sets[0])
-            passes.append((images, {fixed: _outcomes(*ends, fixed)[0]}))
+        fixed = None if batched else _image(images, sets[0])
+        key = (*ends[:3], tuple((a, b) for _, a, b in domain), fixed)
+        if key not in shared:
+            shared[key] = _outcomes(*ends, fixed)
+        passes.append((images, shared[key]))
     for t in sets:
-        outcomes = [results[_image(images, t)] for images, results in passes]
+        outcomes = [found[_image(images, t) if batched else 0] for images, found in passes]
         yield _analysis(table, domains, outcomes)
 
 
@@ -397,42 +399,46 @@ def _analysis(
     bits = 2 * table.graph.edge_count
     class_mass = {cls: [0] * (bits + 1) for cls in DistanceClass}
     expansion = [0] * (bits + 1)
+    counts = dict.fromkeys(DistanceClass, 0)
+    witness = lowest = None
+    safe, stated, pointwise, mirror = [], [], [], []
     for s, domain, out in zip(table.tripartitions, domains, outcomes):
         ones = len(s.one_open)
         j = ones + 2 * len(s.both_open)
+        counts[out.cls] += 1
         class_mass[out.cls][j] += 1 << ones
         # factor * 2^ones = (total / 2) * 2^(ones - |domain|), an integer:
         # the domain is the non-loop part of one_open, and total is even
         # because flipping every edge's level maps a mask to its
         # complement without changing f.
         expansion[j] += (out.total >> 1) << (ones - len(domain))
-
-    rows = list(zip(table.tripartitions, outcomes))
-    short = [(s, out) for s, out in rows if out.cls is DistanceClass.AT_MOST_ONE]
-    # min keeps the first tripartition of least factor
-    witness, lowest = min(short, key=lambda row: row[1].factor, default=(None, None))
-    classes = [out.cls for out in outcomes]
+        if out.cls is DistanceClass.AT_MOST_ONE:
+            factor = out.factor
+            if lowest is None or factor < lowest:  # the first of least factor
+                witness, lowest = s, factor
+            scaled = factor.numerator << ones  # factor < c / 2^ones iff scaled < c * den
+            if scaled < factor.denominator:
+                safe.append(s)
+            if scaled < 2 * factor.denominator:
+                stated.append(s)
+            if out.negative:
+                pointwise.append(s)
+        elif out.cls is DistanceClass.UNREACHABLE and (out.total or not out.negates):
+            mirror.append(s)
     return TripartitionAnalysis(
-        class_counts={cls.value: classes.count(cls) for cls in DistanceClass},
+        class_counts={cls.value: count for cls, count in counts.items()},
         class_mass={
             cls.value: counts_to_polynomial(m, bits) for cls, m in class_mass.items()
         },
         expansion_sum=counts_to_polynomial(expansion, bits),
         factors=[out.factor for out in outcomes],
-        classes=classes,
-        min_factor=lowest.factor if short else None,
+        classes=[out.cls for out in outcomes],
+        min_factor=lowest,
         min_factor_witness=witness,
-        safe_bound_failures=[
-            s for s, out in short if out.factor < Fraction(1, 2 ** len(s.one_open))
-        ],
-        stated_bound_failures=[
-            s for s, out in short if out.factor < Fraction(2, 2 ** len(s.one_open))
-        ],
-        pointwise_failures=[s for s, out in short if out.negative],
-        mirror_failures=[
-            s for s, out in rows
-            if out.cls is DistanceClass.UNREACHABLE and (out.total or not out.negates)
-        ],
+        safe_bound_failures=safe,
+        stated_bound_failures=stated,
+        pointwise_failures=pointwise,
+        mirror_failures=mirror,
     )
 
 

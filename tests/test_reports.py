@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bunkbed import (
     DISCREPANCY,
@@ -14,11 +18,60 @@ from bunkbed import (
     PARTIAL,
     PASS,
     RationalPoly,
+    Tripartition,
     VAR_P,
     VerificationReport,
     aggregate_verdict,
     canonical_json,
     encode_value,
+)
+from bunkbed.reports import dump_json
+
+
+def reference_encode_value(value):
+    """The isinstance chain that encode_value ran before its exact-type fast path."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "INFINITY"
+        return value
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, Decimal):
+        return str(value)
+    if hasattr(value, "to_json_obj"):
+        return reference_encode_value(value.to_json_obj())
+    if isinstance(value, dict):
+        return {str(k): reference_encode_value(v) for k, v in value.items()}
+    if isinstance(value, (frozenset, set)):
+        return sorted((reference_encode_value(v) for v in value), key=repr)
+    if isinstance(value, (list, tuple)):
+        return [reference_encode_value(v) for v in value]
+    raise TypeError(f"cannot encode {type(value).__name__} into a report")
+
+
+_fractions = st.fractions(max_denominator=1 << 20)
+_hashable = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4), _fractions,
+    st.just(INFINITY), st.floats(allow_nan=False),
+)
+_ids = st.frozensets(st.integers(min_value=0, max_value=5), max_size=3)
+_leaves = st.one_of(
+    _hashable,
+    st.decimals(allow_nan=False, allow_infinity=False),
+    st.builds(lambda c: RationalPoly(c, VAR_P), st.lists(_fractions, max_size=4)),
+    st.builds(Tripartition, _ids, _ids, _ids),
+    st.frozensets(_hashable, max_size=4),
+)
+report_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.integers(), st.text(max_size=3)), inner, max_size=4),
+    ),
+    max_leaves=24,
 )
 
 
@@ -47,6 +100,16 @@ class TestEncodeValue:
     def test_sets_are_ordered(self):
         got = encode_value(frozenset({3, 1, 2}))
         assert got == sorted(got)
+
+
+class TestEncoderFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(report_values)
+    def test_matches_reference_chain(self, value):
+        got, expected = encode_value(value), reference_encode_value(value)
+        # repr tells True from 1 and a tuple from a list, which == does not
+        assert repr(got) == repr(expected)
+        assert canonical_json(value) == dump_json(expected)
 
 
 class TestCanonicalJson:

@@ -739,6 +739,14 @@ class TestLanePass:
         assert got.stated_bound_failures == [one, both]
         assert got.pointwise_failures == [one]
         assert (got.min_factor, got.min_factor_witness) == (Fraction(2, 5), one)
+        # Two short tripartitions tie for the least factor: the first wins.
+        tied = [
+            outcomes[0],
+            outcome(DistanceClass.AT_MOST_ONE, 2, Fraction(1, 2), False),
+            outcome(DistanceClass.AT_MOST_ONE, 2, Fraction(2, 4), False),
+        ]
+        got = bunkbed.tripartitions._analysis(table, domains, tied)
+        assert (got.min_factor, got.min_factor_witness) == (Fraction(1, 2), one)
 
     def test_cap_is_checked_before_any_lane(self, monkeypatch, family):
         def no_lanes(*args, **kwargs):
@@ -792,6 +800,64 @@ class TestLanePass:
                     analyze_tripartitions(g, frozenset(), "a", "f", caps=caps)
         verdict, _ = verify_theorem(g, "a", "f", caps=Caps(max_updown_bits=5))
         assert verdict == FAIL  # the documented path5 mass-domination failure
+
+
+def _model_keys(table, u, v, t=None):
+    """Distinct reduced up/down models of the table's tripartitions.
+
+    A model is the reduced vertex count, the endpoint images and the
+    ends of the non-loop edges as vertex ranks; with a pinned set t it
+    also holds the image of t.
+    """
+    keys = set()
+    for rg, projection in zip(table.reduced, table.projections):
+        rank = {x: r for r, x in enumerate(rg.vertices)}
+        ends = tuple((rank[a], rank[b]) for _, a, b in rg.edges if a != b)
+        image = None if t is None else sum({1 << rank[projection[w]] for w in t})
+        keys.add((len(rank), rank[projection[u]], rank[projection[v]], ends, image))
+    return keys
+
+
+class TestModelSharing:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The (model, pinned) argument of every _outcomes call."""
+        seen = []
+        solve = bunkbed.tripartitions._outcomes
+
+        def spy(n, pu, pv, domain, pinned):
+            seen.append((n, pu, pv, tuple((a, b) for _, a, b in domain), pinned))
+            return solve(n, pu, pv, domain, pinned)
+
+        monkeypatch.setattr(bunkbed.tripartitions, "_outcomes", spy)
+        return seen
+
+    @pytest.mark.parametrize("text, u, v, distinct", [
+        (PATH5_TEXT, "a", "f", 63),
+        (SIX_VERTEX_TEXT, "u", "v", 1675),
+    ])
+    def test_batched_pass_solves_each_model_once(self, calls, text, u, v, distinct):
+        g = parse_edge_list(text)
+        table = TripartitionTable.build(g)
+        keys = _model_keys(table, u, v)
+        assert (len(keys), len(table.tripartitions)) == (distinct, 3 ** g.edge_count)
+        list(_analyses(g, u, v, list(_pinned_sets(g)), DEFAULT_CAPS, table))
+        assert len(calls) == len(set(calls)) == distinct
+        assert set(calls) == keys
+
+    def test_single_pass_solves_each_model_and_image_once(self, calls):
+        for text, u, v, sets in (
+            (PATH5_TEXT, "a", "f", [frozenset(), frozenset("c"), frozenset("bdf")]),
+            (SIX_VERTEX_TEXT, "u", "v", [frozenset("be"), frozenset("ubcdev")]),
+        ):
+            g = parse_edge_list(text)
+            table = TripartitionTable.build(g)
+            for t in sets:
+                calls.clear()
+                analyze_tripartitions(g, t, u, v, table=table)
+                keys = _model_keys(table, u, v, t)
+                assert len(calls) == len(set(calls)) == len(keys), (text, sorted(t))
+                assert set(calls) == keys
 
 
 @st.composite
