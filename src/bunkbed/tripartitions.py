@@ -399,40 +399,40 @@ def _analysis(
     bits = 2 * table.graph.edge_count
     class_mass = {cls: [0] * (bits + 1) for cls in DistanceClass}
     expansion = [0] * (bits + 1)
-    counts = dict.fromkeys(DistanceClass, 0)
     witness = lowest = None
     safe, stated, pointwise, mirror = [], [], [], []
+    classes = [out.cls for out in outcomes]
+    short, unreachable = DistanceClass.AT_MOST_ONE, DistanceClass.UNREACHABLE  # slow per row
     for s, domain, out in zip(table.tripartitions, domains, outcomes):
         ones = len(s.one_open)
         j = ones + 2 * len(s.both_open)
-        counts[out.cls] += 1
-        class_mass[out.cls][j] += 1 << ones
+        cls = out.cls
+        class_mass[cls][j] += 1 << ones
         # factor * 2^ones = (total / 2) * 2^(ones - |domain|), an integer:
         # the domain is the non-loop part of one_open, and total is even
         # because flipping every edge's level maps a mask to its
         # complement without changing f.
         expansion[j] += (out.total >> 1) << (ones - len(domain))
-        if out.cls is DistanceClass.AT_MOST_ONE:
-            factor = out.factor
-            if lowest is None or factor < lowest:  # the first of least factor
-                witness, lowest = s, factor
-            scaled = factor.numerator << ones  # factor < c / 2^ones iff scaled < c * den
-            if scaled < factor.denominator:
+        if cls is short:
+            if lowest is None or out.factor < lowest:  # the first of least factor
+                witness, lowest = s, out.factor
+            scaled = out.factor.numerator << ones  # factor < c / 2^ones iff scaled < c * den
+            if scaled < out.factor.denominator:
                 safe.append(s)
-            if scaled < 2 * factor.denominator:
+            if scaled < 2 * out.factor.denominator:
                 stated.append(s)
             if out.negative:
                 pointwise.append(s)
-        elif out.cls is DistanceClass.UNREACHABLE and (out.total or not out.negates):
+        elif cls is unreachable and (out.total or not out.negates):
             mirror.append(s)
     return TripartitionAnalysis(
-        class_counts={cls.value: count for cls, count in counts.items()},
+        class_counts={cls.value: classes.count(cls) for cls in DistanceClass},
         class_mass={
             cls.value: counts_to_polynomial(m, bits) for cls, m in class_mass.items()
         },
         expansion_sum=counts_to_polynomial(expansion, bits),
         factors=[out.factor for out in outcomes],
-        classes=[out.cls for out in outcomes],
+        classes=classes,
         min_factor=lowest,
         min_factor_witness=witness,
         safe_bound_failures=safe,
