@@ -402,11 +402,11 @@ def _analysis(
     witness = lowest = None
     safe, stated, pointwise, mirror = [], [], [], []
     classes = [out.cls for out in outcomes]
-    short, unreachable = DistanceClass.AT_MOST_ONE, DistanceClass.UNREACHABLE  # slow per row
-    for s, domain, out in zip(table.tripartitions, domains, outcomes):
+    # an enum member lookup costs more than the rest of a step: do it once
+    short, unreachable = DistanceClass.AT_MOST_ONE, DistanceClass.UNREACHABLE
+    for s, domain, out, cls in zip(table.tripartitions, domains, outcomes, classes):
         ones = len(s.one_open)
         j = ones + 2 * len(s.both_open)
-        cls = out.cls
         class_mass[cls][j] += 1 << ones
         # factor * 2^ones = (total / 2) * 2^(ones - |domain|), an integer:
         # the domain is the non-loop part of one_open, and total is even
