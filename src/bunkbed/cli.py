@@ -346,13 +346,14 @@ def _cmd_mc(args) -> tuple[dict, list[VerificationReport], None]:
         quantities["exact_available"] = False
     else:
         quantities["exact_available"] = True
+        difference = (same - cross).evaluate(p)
         exact_pairs = (
             (estimates.same_level, same.evaluate(p)),
             (estimates.cross_level, cross.evaluate(p)),
-            (estimates.difference, (same - cross).evaluate(p)),
+            (estimates.difference, difference),
         )
         agree = all(agreement_check(est, val, args.k) for est, val in exact_pairs)
-        quantities["exact_difference"] = (same - cross).evaluate(p)
+        quantities["exact_difference"] = difference
         quantities["agreement_k"] = args.k
         verdict = PASS if agree else FAIL
     inputs = {

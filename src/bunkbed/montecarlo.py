@@ -18,12 +18,9 @@ shard's same-level, cross-level and squared-difference totals.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .enumeration import _spread
 from .exact import LEVELS, _bunkbed_layout, horizontal_edge_id, vertical_edge_id
@@ -62,6 +59,8 @@ def _threshold(p: Fraction) -> int:
 
 
 def _shard_bits(seed: int, shard: int, count: int, columns: int, threshold: int):
+    import numpy as np
+
     key = np.array([seed % (1 << 64), shard], dtype=np.uint64)
     raws = np.random.Philox(key=key).random_raw(count * columns)
     if threshold >= 1 << 64:
@@ -144,6 +143,8 @@ def estimate_difference(
     shards = range((samples + SHARD_SAMPLES - 1) // SHARD_SAMPLES)
 
     def run_shard(shard: int) -> tuple[int, int, int, int]:
+        import numpy as np
+
         start = shard * SHARD_SAMPLES
         count = min(SHARD_SAMPLES, samples - start)
         bits = _shard_bits(seed, shard, count, max(1, columns), threshold)
@@ -166,6 +167,8 @@ def estimate_difference(
 
     totals = [0, 0, 0, 0]
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_shard, shards))
     else:

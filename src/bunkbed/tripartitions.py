@@ -361,8 +361,10 @@ def _analyses(
     over every pinned-image set.  Tripartitions with one reduced model
     (vertex count, endpoint images and domain ends, which are all that
     _outcomes reads, plus the image of a single set) share its outcome
-    list, so each distinct model is solved once per call.  The analyses
-    are built lazily, one pinned set at a time.
+    list, so each distinct model is solved once per call.  Tripartitions
+    with one image map share its slot, so a pinned set's image code is
+    computed once per distinct map.  The analyses are built lazily, one
+    pinned set at a time.
     """
     for w in (u, v, *sets[0]):
         g.require_vertex(w)
@@ -370,7 +372,7 @@ def _analyses(
     # domain, and no reduced graph has more, so this bounds every row.
     _check_updown(sum(a != b for _, a, b in g.edges), caps)
     table = table if table is not None else TripartitionTable.build(g, caps)
-    batched, passes, domains, shared = len(sets) > 1, [], [], {}
+    batched, passes, domains, shared, slots = len(sets) > 1, [], [], {}, {}
     for rg, projection in zip(table.reduced, table.projections):
         domain, images, ends = _row(g, rg, projection, u, v)
         domains.append(domain)
@@ -378,9 +380,13 @@ def _analyses(
         key = (*ends[:3], tuple((a, b) for _, a, b in domain), fixed)
         if key not in shared:
             shared[key] = _outcomes(*ends, fixed)
-        passes.append((images, shared[key]))
+        # images lists g.vertices in order, so its values identify the map
+        slot = slots.setdefault(tuple(images.values()), (len(slots), images))[0]
+        passes.append((slot, shared[key]))
+    maps = [images for _, images in slots.values()]
     for t in sets:
-        outcomes = [found[_image(images, t) if batched else 0] for images, found in passes]
+        codes = [_image(images, t) if batched else 0 for images in maps]
+        outcomes = [found[codes[slot]] for slot, found in passes]
         yield _analysis(table, domains, outcomes)
 
 

@@ -363,6 +363,37 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "exact"
 
+    def test_only_monte_carlo_loads_numpy_and_the_thread_pool(self, tmp_path):
+        # A fresh interpreter: this process has imported numpy already.
+        child = (
+            "import contextlib, io, json, sys\n"
+            "from bunkbed.cli import run\n"
+            "pair = ['--graph', sys.argv[1], '--u', 'a', '--v', 'c']\n"
+            "calls = [['exact', *pair], ['expand', *pair, '--pinned', 'b'],\n"
+            "         ['verify-theorem', *pair], ['line', '--n', '3'],\n"
+            "         ['geodesic-check', *pair],\n"
+            "         ['mc', *pair, '--p', '1', '--samples', '10', '--seed', '1',\n"
+            "          '--workers', '2']]\n"
+            "for argv in calls:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = run(argv)\n"
+            "    loaded = [m in sys.modules for m in ('numpy', 'concurrent.futures')]\n"
+            "    print(json.dumps([argv[0], code, loaded]))\n"
+        )
+        graph = tmp_path / "path2.txt"
+        graph.write_text("a b\nb c\n")
+        proc = subprocess.run([sys.executable, "-c", child, str(graph)],
+                              capture_output=True, text=True, env=package_env())
+        assert proc.returncode == 0, proc.stderr
+        assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+            ["exact", 0, [False, False]],
+            ["expand", 0, [False, False]],
+            ["verify-theorem", 0, [False, False]],
+            ["line", 0, [False, False]],
+            ["geodesic-check", 0, [False, False]],
+            ["mc", 0, [True, True]],
+        ]
+
     def test_star_import_gives_the_public_names(self):
         import types
 

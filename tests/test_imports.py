@@ -2,8 +2,11 @@
 
 The package has no linter; this check keeps dead imports out.  Each
 module of src/bunkbed except __init__.py (which imports to re-export)
-is parsed, and an imported name fails unless the module refers to it
-elsewhere.  from __future__ imports are exempt.
+is parsed.  A module-level import fails unless the module refers to the
+name elsewhere; an import inside a function fails unless that function
+(nested functions included) refers to it, so a stale lazy import is
+caught even when another function uses the same name.  from __future__
+imports are exempt.
 """
 
 from __future__ import annotations
@@ -17,17 +20,33 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "bunkbed"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(tree: ast.Module) -> list[str]:
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def scope_imports(scope: ast.AST) -> dict[str, int]:
+    """Name -> line of the imports in scope, leaving out those of nested functions."""
     imported = {}
-    for node in ast.walk(tree):
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+        elif not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+    return imported
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    unused = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, FUNCTIONS))]:
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        unused += [(line, name) for name, line in scope_imports(scope).items()
+                   if name not in used]
+    return [f"{name} (line {line})" for line, name in sorted(unused)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -39,3 +58,13 @@ def test_unused_import_is_caught():
     tree = ast.parse("from __future__ import annotations\n"
                      "import os.path\nfrom typing import Optional, Any\nx: Any = os\n")
     assert unused_imports(tree) == ["Optional (line 3)"]
+
+
+def test_stale_function_import_is_caught():
+    tree = ast.parse("import math\n"
+                     "def f():\n    import numpy as np\n    return math.pi\n"
+                     "def g():\n    return np.zeros(1)\n"
+                     "def h():\n    import json\n"
+                     "    def inner():\n        return json.dumps(1)\n"
+                     "    return inner\n")
+    assert unused_imports(tree) == ["np (line 3)"]

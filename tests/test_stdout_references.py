@@ -1,10 +1,12 @@
-"""Canonical stdout of verify-theorem against the benchmark's reference digests.
+"""Canonical stdout of the CLI against the benchmark's reference digests.
 
 benchmarks/references.json records the exit code and the sha256 of the
-stdout of every fixed-input benchmark call.  This runs the verify-theorem
-calls (the family graphs and path5, first vertex to last) through the CLI
-and compares both, so a change to the tripartition sweep or the report
-encoding that alters one output byte fails here.  The file is only read.
+stdout of every fixed-input benchmark call: exact on the six-vertex
+graph, line with the gap, series and Gaussian checks, and verify-theorem
+on the family graphs and path5 (first vertex to last).  This runs each
+of them through the CLI and compares both, so a change to the kernel,
+the tripartition sweep, the line recursion or the report encoding that
+alters one output byte fails here.  The file is only read.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from bunkbed.cli import run
-from conftest import FAMILY_TEXT
+from conftest import FAMILY_TEXT, SIX_VERTEX_TEXT
 
 REFERENCES = Path(__file__).resolve().parent.parent / "benchmarks" / "references.json"
 GRAPHS = {**FAMILY_TEXT, "path5": "a b\nb c\nc d\nd e\ne f"}
@@ -27,28 +29,48 @@ def _first_last(text: str) -> tuple[str, str]:
     return order[0], order[-1]
 
 
+def _theorem_argv(name: str) -> list[str]:
+    u, v = _first_last(GRAPHS[name])
+    return ["verify-theorem", "--graph", f"{name}.txt", "--u", u, "--v", v]
+
+
+# Reference key -> CLI argv.  stdout echoes the --graph argument, so
+# graph files go by their bare names.
+CALLS = {
+    "exact-six": ["exact", "--graph", "six.txt", "--u", "u", "--v", "v"],
+    "line-gauss": ["line", "--n", "60", "--gap", "--series", "--lambda", "1"],
+    **{f"theorem-family/{name}": _theorem_argv(name) for name in GRAPHS},
+}
+
+
 @pytest.fixture(scope="module")
 def references() -> dict:
     return json.loads(REFERENCES.read_text(encoding="utf-8"))
 
 
-def test_every_theorem_reference_is_run(references):
-    recorded = {key for key in references if key.startswith("theorem-family/")}
-    assert recorded == {f"theorem-family/{name}" for name in GRAPHS}
+def _assert_matches_reference(key, references, tmp_path, monkeypatch, capsys):
+    for name, text in {**GRAPHS, "six": SIX_VERTEX_TEXT}.items():
+        (tmp_path / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    code = run(CALLS[key] + ["--workers", "1"])
+    stdout = capsys.readouterr().out
+    assert code == references[key]["exit"]
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == references[key]["sha256"]
+
+
+def test_every_fixed_input_reference_is_run(references):
+    recorded = {key for key, entry in references.items() if "sha256" in entry}
+    assert recorded == set(CALLS)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_verify_theorem_stdout_matches_reference(name, references, tmp_path,
                                                  monkeypatch, capsys):
-    text = GRAPHS[name]
-    # stdout echoes the --graph argument, so the file goes by its bare name
-    (tmp_path / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    u, v = _first_last(text)
-    capsys.readouterr()
-    code = run(["verify-theorem", "--graph", f"{name}.txt", "--u", u, "--v", v,
-                "--workers", "1"])
-    stdout = capsys.readouterr().out
-    expected = references[f"theorem-family/{name}"]
-    assert code == expected["exit"]
-    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == expected["sha256"]
+    _assert_matches_reference(f"theorem-family/{name}", references, tmp_path,
+                              monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("key", ["exact-six", "line-gauss"])
+def test_fixed_input_stdout_matches_reference(key, references, tmp_path, monkeypatch, capsys):
+    _assert_matches_reference(key, references, tmp_path, monkeypatch, capsys)
