@@ -239,7 +239,7 @@ def _cmd_exact(args) -> tuple[dict, list[VerificationReport], Optional[str]]:
                 writer.writerow(["polynomial", name, k, format_fraction(c)])
         writer.writerow(["scalar", "p0", "", format_fraction(p0)])
         writer.writerow(["scalar", "difference_at_p0", "",
-                         format_fraction(difference.evaluate(p0))])
+                         format_fraction(report.quantities["difference_at_p0"])])
         table = buf.getvalue()
     return inputs, [report], table
 

@@ -11,24 +11,23 @@ _bunkbed_items is the one place that lays a bunkbed out as base pairs
 and items: base vertex r has copies 2r and 2r + 1.  The exact
 polynomials, the Monte Carlo shards and the up/down model all use it.
 
-The kernel has two paths, chosen by k alone.  Up to _LANE_ITEMS items it
-is bit-sliced (_lane_reach): bit x of a 2^k-bit lane stands for the
-configuration whose item bits spell x, so an edge chosen by bit 1 of
-item i is open on the lane "bit i of x is 1" and one chosen by bit 0 on
-its complement.  Reachability from each query source spreads as
-(reach[a] | reach[b]) & lane until a sweep changes nothing; a query's
-count in bucket j is the popcount, over the bits x with j ones, of the
-AND of its pairs' lanes.  The up/down model of tripartitions runs its
-own prefix shards over _lane_reach: the first _LANE_BITS items share a
-lane and each shard fixes the others.
+The kernel is a frontier (transfer-matrix) pass, its cost following the
+width of the graph instead of 2^k.  Base pairs and items are steps whose
+branches add edges, in the order of the BFS rank of their highest
+vertex.  A state is a set partition of the frontier vertices and maps to
+one int that packs the counts of the configurations reaching it; each
+branch shifts that int by its own amount, so the caller chooses the
+bucket layout.  connection_counts shifts by one bucket per 1-bit; the
+exact module gives each set of open posts a block of buckets of its own.
+A vertex joins the frontier at its first step and leaves after its
+last; query vertices stay to the end.
 
-Above _LANE_ITEMS items a frontier (transfer-matrix) pass runs, its cost
-following the width of the graph instead of 2^k.  Base pairs and items
-are steps that add edges on one branch or two, in the order of the BFS
-rank of their highest vertex.  A state is a set partition of the
-frontier vertices and maps to the count vector of the configurations
-reaching it.  A vertex joins the frontier at its first step and leaves
-after its last; query vertices stay to the end.
+The up/down model of tripartitions and the Monte Carlo shards spread
+reachability on bit lanes instead (_lane_reach, _spread): bit x of a
+lane stands for one configuration, and reach spreads as
+(reach[a] | reach[b]) & lane until a sweep changes nothing.  The up/down
+model's first _LANE_BITS items share a lane and each prefix shard fixes
+the others.
 """
 
 from __future__ import annotations
@@ -51,11 +50,6 @@ DEFAULT_CAPS = Caps()
 
 # Items enumerated inside one lane; a lane is a 2^16-bit (8 KB) integer.
 _LANE_BITS = 16
-
-# The one-lane pass runs up to this many items, the frontier pass above.
-# Median per call on random bunkbeds: 13 items take 0.49 ms on the lane
-# against 0.95 ms on the frontier, 14 items 1.15 against 0.80 ms.
-_LANE_ITEMS = 13
 
 
 class CapExceededError(RuntimeError):
@@ -92,14 +86,6 @@ def _item_lanes(lanes: int) -> tuple[int, ...]:
         block = ((1 << half) - 1) << half
         out.append(full // ((1 << 2 * half) - 1) * block)
     return tuple(out)
-
-
-def _weight_masks(lanes: int) -> list[int]:
-    """Mask j has bit x set iff x has exactly j ones, for x < 2^lanes."""
-    masks = [1]
-    for i in range(lanes):
-        masks = [low | (high << (1 << i)) for low, high in zip(masks + [0], [0] + masks)]
-    return masks
 
 
 def _bunkbed_items(n: int, edges, pinned: Optional[int], updown: bool = False):
@@ -140,22 +126,20 @@ def _lane_reach(num_vertices: int, base_pairs, items, sources) -> dict[int, list
     return reach
 
 
-def _frontier_counts(num_vertices: int, base_pairs, items, queries) -> list[list[int]]:
-    """connection_counts by the frontier pass.
+def _frontier_counts(num_vertices: int, steps, queries) -> list[int]:
+    """The frontier pass: one packed total per query.
+
+    Each step is a sequence of (edges, shift) branches.  A configuration
+    takes one branch of every step and adds 1 << (the sum of their
+    shifts) to each query it satisfies; the caller's shifts never carry.
 
     A state is a str whose character j is the block of frontier vertex j,
     blocks numbered by first appearance (a str, not a tuple, so that the
     states do not pile up in the interpreter's tuple free lists).  It maps
-    to one int holding bucket j of its count vector at bits j(k+1) up; no
-    bucket reaches 2^(k+1), so a 1-bit is a shift by k+1.
+    to the int of packed counts of the configurations reaching it.
     """
-    width = len(items) + 1
-    branches = [((((a, b),), 0),) for a, b in base_pairs]
-    branches += [((edges0, 0), (edges1, width)) for edges0, edges1 in items]
-    steps = [(tuple(dict.fromkeys(x for edges, _ in step for pair in edges for x in pair)), step)
-             for step in branches]
     adjacent = [set() for _ in range(num_vertices)]
-    for a, b in (pair for step in branches for edges, _ in step for pair in edges):
+    for a, b in (pair for step in steps for edges, _ in step for pair in edges):
         adjacent[a].add(b)
         adjacent[b].add(a)
     rank: dict[int, int] = {}
@@ -166,6 +150,8 @@ def _frontier_counts(num_vertices: int, base_pairs, items, queries) -> list[list
             for y in sorted(adjacent[x] - rank.keys()):
                 rank[y] = len(rank)
                 queue.append(y)
+    steps = [(tuple(dict.fromkeys(x for edges, _ in step for pair in edges for x in pair)), step)
+             for step in steps]
     steps.sort(key=lambda step: max(map(rank.__getitem__, step[0]), default=-1))
     last = {x: i for i, (touched, _) in enumerate(steps) for x in touched}
     kept = {x for query in queries for pair in query for x in pair}
@@ -209,8 +195,7 @@ def _frontier_counts(num_vertices: int, base_pairs, items, queries) -> list[list
             if all(a == b or a in position and b in position
                    and state[position[a]] == state[position[b]] for a, b in query):
                 totals[q] += counts
-    bucket = (1 << width) - 1
-    return [[total >> (j * width) & bucket for j in range(width)] for total in totals]
+    return totals
 
 
 def connection_counts(
@@ -235,18 +220,11 @@ def connection_counts(
     for x in {x for pair in pairs for x in pair}:
         if not 0 <= x < num_vertices:
             raise ValueError(f"vertex index {x!r} is outside [0, {num_vertices})")
-    k = len(items)
-    if k > min(_LANE_ITEMS, _LANE_BITS):
-        return _frontier_counts(num_vertices, base_pairs, items, queries)
-
-    sources = sorted({a for query in queries for a, _ in query})
-    reach = _lane_reach(num_vertices, base_pairs, items, sources)
-    full = (1 << (1 << k)) - 1
-    weights = _weight_masks(k)
-    counts = []
-    for query in queries:
-        sat = full
-        for a, b in query:
-            sat &= reach[a][b]
-        counts.append([(sat & mask).bit_count() for mask in weights])
-    return counts
+    # Bucket j sits at bits j(k+1) up: no bucket reaches 2^(k+1), so a
+    # 1-bit is a shift by k+1.
+    width = len(items) + 1
+    steps = [[((pair,), 0)] for pair in base_pairs]
+    steps += [[(edges0, 0), (edges1, width)] for edges0, edges1 in items]
+    bucket = (1 << width) - 1
+    return [[total >> (j * width) & bucket for j in range(width)]
+            for total in _frontier_counts(num_vertices, steps, queries)]

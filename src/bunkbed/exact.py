@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .enumeration import (
     Caps,
     DEFAULT_CAPS,
     CapExceededError,
     _bunkbed_items,
+    _frontier_counts,
     connection_counts,
 )
 from .graphs import INFINITY, Multigraph, Vertex, vertical_free_distance
@@ -81,28 +82,6 @@ def _check_cap(bits: int, caps: Caps) -> None:
         )
 
 
-def _query_counts(
-    g: Multigraph,
-    queries: Sequence[Sequence[tuple[BunkbedVertex, BunkbedVertex]]],
-    pinned: Optional[Iterable[Vertex]],
-    caps: Caps,
-) -> tuple[list[list[int]], int]:
-    index, base_pairs, items = _bunkbed_layout(g, pinned)
-    _check_cap(len(items), caps)
-    idx_queries = []
-    for query in queries:
-        pairs = []
-        for a, b in query:
-            if a not in index or b not in index:
-                missing = a if a not in index else b
-                raise ValueError(f"unknown bunkbed vertex {missing!r}")
-            pairs.append((index[a], index[b]))
-        idx_queries.append(tuple(pairs))
-
-    counts = connection_counts(2 * g.vertex_count, base_pairs, items, idx_queries)
-    return counts, len(items)
-
-
 def counts_to_polynomial(counts: Sequence[int], bits: int) -> RationalPoly:
     """Sum of counts[j] * p^j * (1-p)^(bits-j), expanded exactly.
 
@@ -132,8 +111,19 @@ def connection_query_polynomials(
     randomizes the vertical edges along with the horizontal ones;
     pinned=t fixes verticals open exactly at the vertices of t.
     """
-    counts, bits = _query_counts(g, queries, pinned, caps)
-    return [counts_to_polynomial(row, bits) for row in counts]
+    index, base_pairs, items = _bunkbed_layout(g, pinned)
+    _check_cap(len(items), caps)
+    idx_queries = []
+    for query in queries:
+        pairs = []
+        for a, b in query:
+            if a not in index or b not in index:
+                missing = a if a not in index else b
+                raise ValueError(f"unknown bunkbed vertex {missing!r}")
+            pairs.append((index[a], index[b]))
+        idx_queries.append(tuple(pairs))
+    counts = connection_counts(2 * g.vertex_count, base_pairs, items, idx_queries)
+    return [counts_to_polynomial(row, len(items)) for row in counts]
 
 
 def connection_polynomial(
@@ -182,6 +172,28 @@ def difference_polynomial(
     """P(u bottom <-> v bottom) - P(u bottom <-> v top), exactly."""
     same, cross = endpoint_polynomials(g, u, v, pinned, caps=caps)
     return same - cross
+
+
+def _pinned_differences(g: Multigraph, u: Vertex, v: Vertex) -> Iterator[RationalPoly]:
+    """difference_polynomial for each pinned set t in turn, from one frontier pass.
+
+    Bit r of t opens the post of g.vertices[r].  With H = 2|E| horizontal
+    items and buckets of B = H + 1 bits, an open horizontal copy shifts
+    by B and open post r by 2^r (H + 1) B, so t's buckets start at bit
+    t (H + 1) B and each state carries 2^|V| (2|E| + 1)^2 bits.  The
+    caller checks the vertices and the caps, 2|E| + |V| items, first.
+    """
+    index, _, items = _bunkbed_layout(g, None)
+    bits = 2 * g.edge_count
+    block, u0 = (bits + 1) ** 2, index[(u, 0)]
+    shifts = [bits + 1] * bits + [block << r for r in range(g.vertex_count)]
+    steps = [[(edges0, 0), (edges1, shift)] for (edges0, edges1), shift in zip(items, shifts)]
+    queries = [((u0, index[(v, 0)]),), ((u0, index[(v, 1)]),)]
+    same, cross = _frontier_counts(2 * g.vertex_count, steps, queries)
+    bucket = (1 << (bits + 1)) - 1
+    for low in range(0, block << g.vertex_count, block):
+        yield counts_to_polynomial([(same >> j & bucket) - (cross >> j & bucket)
+                                    for j in range(low, low + block, bits + 1)], bits)
 
 
 def threshold_point(edge_count: int) -> Fraction:

@@ -1,11 +1,9 @@
-"""The counting kernel's two paths against four independent counters.
+"""The counting kernel's frontier pass against four independent counters.
 
-connection_counts runs a one-lane bit-sliced pass for small item counts
-and a frontier pass above them; tests force each path by moving the
-crossover with a monkeypatch.  reference_counts_dfs and
-reference_counts_scratch are the two kernels the bit lanes replaced,
-reference_counts_lanes is the multi-shard lane counter the frontier pass
-replaced, and naive_counts shares no code with any of them.  Tests that
+reference_counts_dfs and reference_counts_scratch are the two kernels
+the bit lanes replaced, reference_counts_lanes is the bit-lane counter
+the frontier pass replaced (one lane up to 16 items, prefix shards
+above), and naive_counts shares no code with any of them.  Tests that
 must cross the boundary between lane items and prefix shards on small
 instances shrink the lane oracle's width with a monkeypatch.
 """
@@ -151,6 +149,14 @@ def naive_counts(num_vertices, base_pairs, items, queries):
     return results
 
 
+def _weight_masks(lanes: int) -> list[int]:
+    """Mask j has bit x set iff x has exactly j ones, for x < 2^lanes."""
+    masks = [1]
+    for i in range(lanes):
+        masks = [low | (high << (1 << i)) for low, high in zip(masks + [0], [0] + masks)]
+    return masks
+
+
 def reference_counts_lanes(num_vertices, base_pairs, items, queries):
     """Bit-sliced counter over prefix shards, as the up/down model runs them.
 
@@ -164,7 +170,7 @@ def reference_counts_lanes(num_vertices, base_pairs, items, queries):
     lanes = min(k, enumeration._LANE_BITS)
     sources = sorted({a for query in queries for a, _ in query})
     full = (1 << (1 << lanes)) - 1
-    weights = enumeration._weight_masks(lanes)
+    weights = _weight_masks(lanes)
     counts = [[0] * (k + 1) for _ in queries]
     for prefix in range(1 << (k - lanes)):
         fixed = [pair for i, item in enumerate(items[lanes:])
@@ -186,22 +192,6 @@ def counts_with_lane_bits(lane_bits, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_LANE_BITS", lane_bits)
         return reference_counts_lanes(*args)
-
-
-# Crossover values that send every item count to one path of the kernel.
-PATHS = {"lanes": 1 << 30, "frontier": -1}
-
-
-def counts_on_path(path, *args):
-    """The kernel's counts with every call sent to the named path."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(enumeration, "_LANE_ITEMS", PATHS[path])
-        return connection_counts(*args)
-
-
-def assert_paths_match(expected, *args):
-    for path in PATHS:
-        assert counts_on_path(path, *args) == expected, (path, args)
 
 
 def pair_strategy(n):
@@ -235,14 +225,14 @@ class TestAgainstNaive:
         expected = reference_counts_dfs(*instance)
         assert counts_with_lane_bits(lane_bits, *instance) == expected
         assert naive_counts(*instance) == expected
-        assert_paths_match(expected, *instance)
+        assert connection_counts(*instance) == expected
 
     @given(instances, lane_widths)
     @settings(max_examples=150, deadline=None)
     def test_matches_scratch_oracle(self, instance, lane_bits):
         expected = reference_counts_scratch(*instance)
         assert counts_with_lane_bits(lane_bits, *instance) == expected
-        assert_paths_match(expected, *instance)
+        assert connection_counts(*instance) == expected
 
     @given(instances, st.data())
     @settings(max_examples=150, deadline=None)
@@ -250,7 +240,7 @@ class TestAgainstNaive:
         n, base_pairs, items, queries = instance
         shuffled = data.draw(st.permutations(items), label="items")
         expected = reference_counts_scratch(*instance)
-        assert_paths_match(expected, n, base_pairs, shuffled, queries)
+        assert connection_counts(n, base_pairs, shuffled, queries) == expected
 
 
 # Queries with the empty conjunction, a pair (a, a) and conjunctions.
@@ -281,29 +271,29 @@ class TestShardBoundaries:
                 assert reference_counts_scratch(*args) == expected
                 got = counts_with_lane_bits(lane_bits, *args)
                 assert got == expected, (k, seed)
-                assert_paths_match(expected, *args)
+                assert connection_counts(*args) == expected
 
-    def test_crossover_selects_the_path(self, monkeypatch):
+    def test_every_item_count_runs_the_frontier_pass(self, monkeypatch):
+        # No item count, small or past one lane, takes another path.
         calls = []
         frontier = enumeration._frontier_counts
-        lane_reach = enumeration._lane_reach
 
-        def spy(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapper
+        def spy(*args):
+            calls.append(len(args[1]))
+            return frontier(*args)
 
-        monkeypatch.setattr(enumeration, "_frontier_counts", spy("frontier", frontier))
-        monkeypatch.setattr(enumeration, "_lane_reach", spy("lanes", lane_reach))
-        crossover = enumeration._LANE_ITEMS
-        assert crossover < enumeration._LANE_BITS
-        for k, path in ((crossover, "lanes"), (crossover + 1, "frontier")):
+        def no_lanes(*args):
+            raise AssertionError("connection_counts spread reach on bit lanes")
+
+        monkeypatch.setattr(enumeration, "_frontier_counts", spy)
+        monkeypatch.setattr(enumeration, "_lane_reach", no_lanes)
+        monkeypatch.setattr(enumeration, "_spread", no_lanes)
+        for k in (0, 1, 13, 14, 16):
             args = (4, [(1, 2)], _boundary_items(k, k), BOUNDARY_QUERIES)
-            expected = reference_counts_lanes(*args)
+            expected = reference_counts_dfs(*args)
             calls.clear()
             assert connection_counts(*args) == expected
-            assert calls == [path], k
+            assert calls == [k + 1], k
 
 
 class TestEdgeCases:
@@ -346,7 +336,7 @@ class TestEdgeCases:
             assert naive_counts(*args) == expected
             for lane_bits in (1, 2, enumeration._LANE_BITS):
                 assert counts_with_lane_bits(lane_bits, *args) == expected, args
-            assert_paths_match(expected, *args)
+            assert connection_counts(*args) == expected, args
 
     @pytest.mark.parametrize("args", [
         (2, [(0, 1)], [((), ((0, 1),))], [((0, -1),)]),
@@ -360,9 +350,6 @@ class TestEdgeCases:
         # the end fails deep inside a pass.
         with pytest.raises(ValueError, match="outside"):
             connection_counts(*args)
-        for path in PATHS:
-            with pytest.raises(ValueError, match="outside"):
-                counts_on_path(path, *args)
 
     def test_k5_posts_randomized_matches_lane_oracle(self):
         # 10 edges on two levels and 5 posts: 25 items, past the crossover.

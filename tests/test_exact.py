@@ -31,10 +31,9 @@ from bunkbed import (
     threshold_point,
 )
 
-from bunkbed.exact import _bunkbed_layout
+from bunkbed.exact import _bunkbed_layout, _pinned_differences
 from conftest import family_graphs
 from test_enumeration import (
-    counts_on_path,
     reference_counts_dfs,
     reference_counts_lanes,
     reference_counts_scratch,
@@ -224,12 +223,44 @@ class TestInvariances:
                 expected = reference_counts_dfs(*args)
                 if bits <= 16:
                     assert reference_counts_scratch(*args) == expected, (name, pinned)
-                    assert counts_on_path("lanes", *args) == expected, (name, pinned)
                 assert reference_counts_lanes(*args) == expected, (name, pinned)
-                assert counts_on_path("frontier", *args) == expected, (name, pinned)
                 assert connection_counts(*args) == expected, (name, pinned)
                 polys = connection_query_polynomials(g, queries, pinned)
                 assert polys == [counts_to_polynomial(row, bits) for row in expected]
+
+
+def per_set_differences(g, u, v):
+    """difference_polynomial for each pinned set, bit r pinning g.vertices[r]."""
+    n = g.vertex_count
+    return [difference_polynomial(g, u, v, [g.vertices[r] for r in range(n) if t >> r & 1])
+            for t in range(1 << n)]
+
+
+@st.composite
+def multigraph_pairs(draw):
+    """Random multigraphs with loops and parallel edges, and an endpoint pair."""
+    n = draw(st.integers(min_value=1, max_value=4), label="n")
+    names = [f"x{i}" for i in range(n)]
+    ends = st.sampled_from(names)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=5), label="edges")
+    g = Multigraph(tuple(names), tuple((i, a, b) for i, (a, b) in enumerate(pairs)))
+    u = draw(ends, label="u")
+    return g, u, draw(ends | st.just(u), label="v")
+
+
+class TestPinnedDifferences:
+    """The one-pass differences of every pinned set against per-set calls."""
+
+    @given(multigraph_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_set_calls(self, case):
+        g, u, v = case
+        assert list(_pinned_differences(g, u, v)) == per_set_differences(g, u, v)
+
+    def test_widest_graphs(self, six_vertex):
+        k5 = parse_edge_list("\n".join(f"{a} {b}" for a, b in itertools.combinations("abcde", 2)))
+        for g, u, v in ((six_vertex, "u", "v"), (six_vertex, "b", "b"), (k5, "a", "c")):
+            assert list(_pinned_differences(g, u, v)) == per_set_differences(g, u, v), (u, v)
 
 
 class TestCountsToPolynomial:

@@ -43,6 +43,7 @@ from bunkbed import (
     vertical_free_distance,
 )
 import bunkbed.enumeration
+import bunkbed.exact
 import bunkbed.tripartitions
 from bunkbed.graphs import Vertex
 from bunkbed.tripartitions import (
@@ -577,6 +578,23 @@ class TestSweeps:
         assert len(failing) == 1
         assert failing[0].check == "tripartition_bounds"
         assert failing[0].inputs["pinned"] == []
+
+    def test_verify_theorem_makes_one_kernel_pass(self, monkeypatch, family):
+        # One frontier pass gives the differences of all 2^|V| pinned sets.
+        calls = []
+        frontier = bunkbed.enumeration._frontier_counts
+
+        def spy(*args):
+            calls.append(args)
+            return frontier(*args)
+
+        for module in (bunkbed.enumeration, bunkbed.exact):
+            monkeypatch.setattr(module, "_frontier_counts", spy, raising=False)
+        for name in ("k2", "path4", "cycle4", "triangle_doubled"):
+            g = family[name]
+            calls.clear()
+            verify_theorem(g, g.vertices[0], g.vertices[-1])
+            assert len(calls) == 1, name
 
     def test_verify_theorem_merged_name_cannot_collide(self):
         # The block {a, b} must not be named after the real vertex "a+b".
