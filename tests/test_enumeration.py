@@ -352,7 +352,7 @@ class TestEdgeCases:
             connection_counts(*args)
 
     def test_k5_posts_randomized_matches_lane_oracle(self):
-        # 10 edges on two levels and 5 posts: 25 items, past the crossover.
+        # 10 edges on two levels and 5 posts: 25 items, past one lane.
         edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
         items = [((), ((2 * a + level, 2 * b + level),))
                  for a, b in edges for level in (0, 1)]
