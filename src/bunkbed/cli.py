@@ -423,10 +423,11 @@ def run(argv: Optional[list[str]] = None) -> int:
     if raw_output is not None:
         sys.stdout.write(raw_output)
     else:
+        memo: dict = {}  # reports share values, such as the graph; lower each once
         envelope = {
             "command": args.command,
             "inputs": encode_value(inputs),
-            "reports": [r.to_json_obj() for r in reports],
+            "reports": [r.to_json_obj(memo) for r in reports],
         }
         sys.stdout.write(dump_json(envelope) + "\n")
     if args.verbose:

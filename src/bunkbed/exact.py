@@ -190,10 +190,13 @@ def _pinned_differences(g: Multigraph, u: Vertex, v: Vertex) -> Iterator[Rationa
     steps = [[(edges0, 0), (edges1, shift)] for (edges0, edges1), shift in zip(items, shifts)]
     queries = [((u0, index[(v, 0)]),), ((u0, index[(v, 1)]),)]
     same, cross = _frontier_counts(2 * g.vertex_count, steps, queries)
-    bucket = (1 << (bits + 1)) - 1
+    bucket, polys = (1 << (bits + 1)) - 1, {}
     for low in range(0, block << g.vertex_count, block):
-        yield counts_to_polynomial([(same >> j & bucket) - (cross >> j & bucket)
-                                    for j in range(low, low + block, bits + 1)], bits)
+        counts = tuple([(same >> j & bucket) - (cross >> j & bucket)
+                        for j in range(low, low + block, bits + 1)])
+        if counts not in polys:  # most pinned sets repeat an earlier one's vector
+            polys[counts] = counts_to_polynomial(counts, bits)
+        yield polys[counts]
 
 
 def threshold_point(edge_count: int) -> Fraction:

@@ -31,15 +31,32 @@ def aggregate_verdict(verdicts) -> str:
     return worst
 
 
-def encode_value(value):
-    """Lower a report value to JSON-safe data, deterministically."""
+_PLAIN = frozenset((str, int, bool, type(None)))
+
+
+def encode_value(value, memo: dict | None = None):
+    """Lower a report value to JSON-safe data, deterministically.
+
+    memo maps id(d) to (d, lowering) for each dict d lowered so far, so a
+    dict shared between values is lowered once; keep such dicts unchanged
+    while the memo lives.
+    """
     kind = type(value)  # exact types first: most of a report is plain data
-    if kind in (str, int, bool, type(None)):
+    if kind in _PLAIN:
         return value
-    if kind in (list, tuple):
-        return [encode_value(v) for v in value]
+    if kind is Fraction:
+        return f"{value.numerator}/{value.denominator}"
+    if kind is list or kind is tuple:
+        if all(type(v) in _PLAIN for v in value):
+            return list(value)
+        return [encode_value(v, memo) for v in value]
     if kind is dict:
-        return {str(k): encode_value(v) for k, v in value.items()}
+        if all(type(k) is str and type(v) in _PLAIN for k, v in value.items()):
+            return dict(value)
+        memo = {} if memo is None else memo
+        if id(value) not in memo:  # holding d keeps its id from being reused
+            memo[id(value)] = value, {str(k): encode_value(v, memo) for k, v in value.items()}
+        return memo[id(value)][1]
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
@@ -80,15 +97,16 @@ class VerificationReport:
     quantities: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
 
-    def digest(self) -> str:
-        payload = canonical_json({"check": self.check, "inputs": self.inputs})
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    def digest(self, memo: dict | None = None) -> str:
+        payload = {"check": encode_value(self.check), "inputs": encode_value(self.inputs, memo)}
+        return hashlib.sha256(dump_json(payload).encode()).hexdigest()[:16]
 
-    def to_json_obj(self) -> dict:
+    def to_json_obj(self, memo: dict | None = None) -> dict:
+        """The report as JSON-safe data; memo is as in encode_value."""
         return {
             "check": self.check,
-            "digest": self.digest(),
+            "digest": self.digest(memo),
             "verdict": self.verdict,
-            "quantities": encode_value(self.quantities),
-            "witnesses": encode_value(self.witnesses),
+            "quantities": encode_value(self.quantities, memo),
+            "witnesses": encode_value(self.witnesses, memo),
         }

@@ -235,18 +235,20 @@ def _outcomes(
     out: list[_Outcome] = []
     seen: dict = {}  # many image sets share one outcome; build it once
     # 2^(k - w) consecutive parts make up the block of one image set
-    for code, block in enumerate(zip(*[parts] * (1 << (k - w)))):
+    for code, block in enumerate(zip(parts) if k <= w else zip(*[parts] * (1 << (k - w)))):
         blocked = code if pinned is None else pinned
         side = grown = 0 if (blocked >> pu) & 1 else 1 << pu
         while grown:
             side |= grown
             near = 0
-            for r in range(n):
-                if (grown >> r) & 1:
-                    near |= adjacent[r]
+            while grown:
+                low = grown & -grown
+                near |= adjacent[low.bit_length() - 1]
+                grown ^= low
             grown = near & ~(side | blocked)
-        total = sum(a.bit_count() + b.bit_count() - c.bit_count() - d.bit_count()
-                    for a, b, c, d in block)
+        total = 0
+        for a, b, c, d in block:
+            total += a.bit_count() + b.bit_count() - c.bit_count() - d.bit_count()
         flip, negative, negates = 0, False, True
         if not (side >> pv) & 1:
             cls = DistanceClass.UNREACHABLE
@@ -364,8 +366,9 @@ def _analyses(
     _outcomes reads, plus the image of a single set) share its outcome
     list, so each distinct model is solved once per call.  Tripartitions
     with one image map share its slot, so a pinned set's image code is
-    computed once per distinct map.  The analyses are built lazily, one
-    pinned set at a time.
+    computed once per distinct map.  Pinned sets whose outcomes agree,
+    tripartition by tripartition, on all that _analysis reads (the total
+    fixes the factor) share one analysis, folded lazily once per call.
     """
     for w in (u, v, *sets[0]):
         g.require_vertex(w)
@@ -373,22 +376,27 @@ def _analyses(
     # domain, and no reduced graph has more, so this bounds every row.
     _check_updown(sum(a != b for _, a, b in g.edges), caps)
     table = table if table is not None else TripartitionTable.build(g, caps)
-    batched, passes, domains, shared, slots = len(sets) > 1, [], [], {}, {}
+    batched, passes, domains, shared, slots, ids = len(sets) > 1, [], [], {}, {}, {}
     for rg, projection in zip(table.reduced, table.projections):
         domain, images, ends = _row(g, rg, projection, u, v)
         domains.append(domain)
         fixed = None if batched else _image(images, sets[0])
         key = (*ends[:3], tuple((a, b) for _, a, b in domain), fixed)
         if key not in shared:
-            shared[key] = _outcomes(*ends, fixed)
+            found = _outcomes(*ends, fixed)
+            shared[key] = found, [ids.setdefault((out.cls, out.total, out.negative, out.negates),
+                                                 len(ids)) for out in found]
         # images lists g.vertices in order, so its values identify the map
         slot = slots.setdefault(tuple(images.values()), (len(slots), images))[0]
-        passes.append((slot, shared[key]))
-    maps = [images for _, images in slots.values()]
+        passes.append((slot, *shared[key]))
+    maps, folded = [images for _, images in slots.values()], {}
     for t in sets:
         codes = [_image(images, t) if batched else 0 for images in maps]
-        outcomes = [found[codes[slot]] for slot, found in passes]
-        yield _analysis(table, domains, outcomes)
+        key = tuple([found_ids[codes[slot]] for slot, _, found_ids in passes])
+        if key not in folded:
+            outcomes = [found[codes[slot]] for slot, found, _ in passes]
+            folded[key] = _analysis(table, domains, outcomes)
+        yield folded[key]
 
 
 def _image(images: dict, t: frozenset) -> int:
@@ -497,6 +505,23 @@ def _inputs(g: Multigraph, t: frozenset, u: Vertex, v: Vertex) -> dict:
     return {"graph": graph, "pinned": sorted(map(str, t)), "u": str(u), "v": str(v)}
 
 
+def _point(m: int) -> tuple[Fraction, Fraction, Fraction]:
+    """p0 = threshold_point(m), the domination factor 2^-m, and the floor (p0 (1-p0))^m."""
+    p0 = threshold_point(m)
+    return p0, Fraction(1, 2 ** m), (p0 * (1 - p0)) ** m
+
+
+def _identity_body(analysis: TripartitionAnalysis, difference: RationalPoly) -> dict:
+    """The fields of expansion_identity_check's report, except inputs."""
+    verdict = PASS if difference == analysis.expansion_sum else FAIL
+    return dict(check="expansion_identity", verdict=verdict, quantities={
+        "difference": difference,
+        "expansion_sum": analysis.expansion_sum,
+        "class_counts": analysis.class_counts,
+        "class_mass": analysis.class_mass,
+    })
+
+
 def expansion_identity_check(
     g: Multigraph,
     t: Iterable[Vertex],
@@ -513,19 +538,60 @@ def expansion_identity_check(
         analysis = analyze_tripartitions(g, t, u, v, caps=caps)
     if difference is None:
         difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
-    equal = difference == analysis.expansion_sum
-    return VerificationReport(
-        check="expansion_identity",
-        verdict=PASS if equal else FAIL,
-        inputs=_inputs(g, t, u, v),
-        quantities={
-            "difference": difference,
-            "expansion_sum": analysis.expansion_sum,
-            "class_counts": analysis.class_counts,
-            "class_mass": analysis.class_mass,
-        },
-        witnesses={},
-    )
+    return VerificationReport(inputs=_inputs(g, t, u, v), **_identity_body(analysis, difference))
+
+
+def _bound_body(
+    analysis: TripartitionAnalysis, value: Fraction, connected: bool, point: tuple
+) -> dict:
+    """bound_report's fields, except inputs, from the difference at p0 and _point(|E|)."""
+    p0, scale, floor = point
+    mass_short = analysis.class_mass[DistanceClass.AT_MOST_ONE.value].evaluate(p0)
+    mass_far = analysis.class_mass[DistanceClass.AT_LEAST_TWO.value].evaluate(p0)
+
+    bound = scale * mass_short
+    domination = mass_far <= bound
+    domination_strict = mass_short == 0 or mass_far < bound
+    domination_sharp = mass_far <= bound / 2
+    if mass_short == 0:
+        # No short tripartitions at all forces the far class to vanish too.
+        domination = domination and mass_far == 0
+
+    floor_ok = (not connected) or value >= floor
+    safe_ok = not analysis.safe_bound_failures
+    pointwise_ok = not analysis.pointwise_failures
+    mirror_ok = not analysis.mirror_failures
+    if not (safe_ok and pointwise_ok and mirror_ok and domination and domination_strict
+            and floor_ok):
+        verdict = FAIL
+    elif analysis.stated_bound_failures or not domination_sharp:
+        verdict = DISCREPANCY
+    else:
+        verdict = PASS
+
+    return dict(check="tripartition_bounds", verdict=verdict, quantities={
+        "p0": p0,
+        "class_counts": analysis.class_counts,
+        "class_mass": analysis.class_mass,
+        "short_mass_at_p0": mass_short,
+        "far_mass_at_p0": mass_far,
+        "mass_domination": domination,
+        "mass_domination_strict": domination_strict,
+        "mass_domination_sharp": domination_sharp,
+        "min_factor": analysis.min_factor,
+        "safe_bound_holds": safe_ok,
+        "stated_bound_holds": not analysis.stated_bound_failures,
+        "pointwise_nonnegative": pointwise_ok,
+        "mirror_factor_zero": mirror_ok,
+        "connected_avoiding_pinned": connected,
+        "difference_at_p0": value,
+        "difference_floor_at_p0": floor,
+        "difference_floor_holds": floor_ok,
+    }, witnesses={
+        "min_factor_tripartition": analysis.min_factor_witness,
+        "stated_bound_failures": analysis.stated_bound_failures,
+        "safe_bound_failures": analysis.safe_bound_failures,
+    })
 
 
 def bound_report(
@@ -559,70 +625,20 @@ def bound_report(
         analysis = analyze_tripartitions(g, t, u, v, caps=caps)
     if difference is None:
         difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
-    m = g.edge_count
-    p0 = threshold_point(m)
-    mass_short = analysis.class_mass[DistanceClass.AT_MOST_ONE.value].evaluate(p0)
-    mass_far = analysis.class_mass[DistanceClass.AT_LEAST_TWO.value].evaluate(p0)
-
-    domination = mass_far <= Fraction(1, 2 ** m) * mass_short
-    domination_strict = mass_short == 0 or mass_far < Fraction(1, 2 ** m) * mass_short
-    domination_sharp = mass_far <= Fraction(1, 2 ** (m + 1)) * mass_short
-    if mass_short == 0:
-        # No short tripartitions at all forces the far class to vanish too.
-        domination = domination and mass_far == 0
-
+    point = _point(g.edge_count)
     connected = connected_avoiding(g, u, v, t)
-    difference_at_p0 = difference.evaluate(p0)
-    floor = (p0 * (1 - p0)) ** m
-    floor_ok = (not connected) or difference_at_p0 >= floor
+    body = _bound_body(analysis, difference.evaluate(point[0]), connected, point)
+    return VerificationReport(inputs=_inputs(g, t, u, v), **body)
 
-    safe_ok = not analysis.safe_bound_failures
-    pointwise_ok = not analysis.pointwise_failures
-    mirror_ok = not analysis.mirror_failures
-    hard_ok = (
-        safe_ok
-        and pointwise_ok
-        and mirror_ok
-        and domination
-        and domination_strict
-        and floor_ok
-    )
-    if not hard_ok:
-        verdict = FAIL
-    elif analysis.stated_bound_failures or not domination_sharp:
-        verdict = DISCREPANCY
-    else:
-        verdict = PASS
 
-    return VerificationReport(
-        check="tripartition_bounds",
-        verdict=verdict,
-        inputs=_inputs(g, t, u, v),
-        quantities={
-            "p0": p0,
-            "class_counts": analysis.class_counts,
-            "class_mass": analysis.class_mass,
-            "short_mass_at_p0": mass_short,
-            "far_mass_at_p0": mass_far,
-            "mass_domination": domination,
-            "mass_domination_strict": domination_strict,
-            "mass_domination_sharp": domination_sharp,
-            "min_factor": analysis.min_factor,
-            "safe_bound_holds": safe_ok,
-            "stated_bound_holds": not analysis.stated_bound_failures,
-            "pointwise_nonnegative": pointwise_ok,
-            "mirror_factor_zero": mirror_ok,
-            "connected_avoiding_pinned": connected,
-            "difference_at_p0": difference_at_p0,
-            "difference_floor_at_p0": floor,
-            "difference_floor_holds": floor_ok,
-        },
-        witnesses={
-            "min_factor_tripartition": analysis.min_factor_witness,
-            "stated_bound_failures": analysis.stated_bound_failures,
-            "safe_bound_failures": analysis.safe_bound_failures,
-        },
-    )
+def _sign_body(value: Fraction, connected: bool, p0: Fraction) -> dict:
+    """theorem_sign_check's fields, except inputs, from the difference at p0."""
+    ok = value >= 0 and ((value > 0) == connected)
+    return dict(check="difference_sign", verdict=PASS if ok else FAIL, quantities={
+        "p0": p0,
+        "difference_at_p0": value,
+        "connected_avoiding_pinned": connected,
+    })
 
 
 def theorem_sign_check(
@@ -644,20 +660,8 @@ def theorem_sign_check(
     if difference is None:
         difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
     p0 = threshold_point(g.edge_count)
-    value = difference.evaluate(p0)
-    connected = connected_avoiding(g, u, v, t)
-    ok = value >= 0 and ((value > 0) == connected)
-    return VerificationReport(
-        check="difference_sign",
-        verdict=PASS if ok else FAIL,
-        inputs=_inputs(g, t, u, v),
-        quantities={
-            "p0": p0,
-            "difference_at_p0": value,
-            "connected_avoiding_pinned": connected,
-        },
-        witnesses={},
-    )
+    body = _sign_body(difference.evaluate(p0), connected_avoiding(g, u, v, t), p0)
+    return VerificationReport(inputs=_inputs(g, t, u, v), **body)
 
 
 def verify_conditioning(
@@ -671,23 +675,28 @@ def verify_conditioning(
     """Expansion, bounds, and sign reports for one pinned set."""
     t = frozenset(t)
     analysis = analyze_tripartitions(g, t, u, v, caps=caps)
-    difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
-    return _conditioning_reports(g, t, u, v, analysis, difference)
+    return _reports(g, u, v, [(t, analysis, difference_polynomial(g, u, v, pinned=t, caps=caps))])
 
 
-def _conditioning_reports(
-    g: Multigraph,
-    t: frozenset,
-    u: Vertex,
-    v: Vertex,
-    analysis: TripartitionAnalysis,
-    difference: RationalPoly,
-) -> list[VerificationReport]:
-    return [
-        expansion_identity_check(g, t, u, v, analysis=analysis, difference=difference),
-        bound_report(g, t, u, v, analysis=analysis, difference=difference),
-        theorem_sign_check(g, t, u, v, difference=difference),
-    ]
+def _reports(g: Multigraph, u: Vertex, v: Vertex, rows: Iterable) -> list[VerificationReport]:
+    """Expansion, bounds and sign reports of each (pinned set, analysis, difference) row.
+
+    Rows with one analysis, difference and connectivity share report fields, built once.
+    """
+    point, common, shared, reports = _point(g.edge_count), _inputs(g, frozenset(), u, v), {}, []
+    for t, analysis, difference in rows:
+        connected = connected_avoiding(g, u, v, t)
+        key = (id(analysis), id(difference), connected)
+        if key not in shared:  # holding both objects keeps their ids from being reused
+            value = difference.evaluate(point[0])
+            shared[key] = analysis, difference, [
+                _identity_body(analysis, difference),
+                _bound_body(analysis, value, connected, point),
+                _sign_body(value, connected, point[0]),
+            ]
+        inputs = {**common, "pinned": sorted(map(str, t))}
+        reports.extend(VerificationReport(inputs=inputs, **body) for body in shared[key][2])
+    return reports
 
 
 def verify_theorem(
@@ -702,7 +711,8 @@ def verify_theorem(
     One frontier pass gives every pinned set's difference.  The caps are
     checked on the total work before anything is built: that pass over
     2^(2|E| + |V|) configurations, 3^|E| tripartitions, and up/down
-    models over at most the non-loop edges of the graph.
+    models over at most the non-loop edges of the graph.  Pinned sets
+    with like outcomes share report fields, built once per call.
     """
     n = g.vertex_count
     _check_cap(2 * g.edge_count + n, caps)
@@ -713,7 +723,5 @@ def verify_theorem(
     ]
     # The lazy kernel pass starts after the first analysis checks the vertices and caps.
     rows = zip(sets, _analyses(g, u, v, sets, caps), _pinned_differences(g, u, v))
-    reports: list[VerificationReport] = []
-    for t, analysis, difference in rows:
-        reports.extend(_conditioning_reports(g, t, u, v, analysis, difference))
+    reports = _reports(g, u, v, rows)
     return aggregate_verdict(r.verdict for r in reports), reports

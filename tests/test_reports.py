@@ -109,6 +109,9 @@ class TestEncoderFastPath:
         got, expected = encode_value(value), reference_encode_value(value)
         # repr tells True from 1 and a tuple from a list, which == does not
         assert repr(got) == repr(expected)
+        memo: dict = {}
+        assert repr([encode_value(value, memo), encode_value(value, memo)]) == repr(
+            [expected, expected])
         assert canonical_json(value) == dump_json(expected)
 
 
@@ -167,3 +170,25 @@ class TestReport:
             quantities={}, witnesses={},
         )
         assert a.digest() != b.digest()
+
+    def test_memo_lowers_a_shared_dict_once(self, monkeypatch):
+        lowered = []
+        to_json_obj = RationalPoly.to_json_obj
+
+        def spy(poly):
+            lowered.append(poly)
+            return to_json_obj(poly)
+
+        monkeypatch.setattr(RationalPoly, "to_json_obj", spy)
+        shared = {"mass": RationalPoly([1, Fraction(-1, 2)], VAR_P)}
+        reports = [
+            VerificationReport(check="demo", verdict=PASS, inputs={"pinned": [x]},
+                               quantities=shared)
+            for x in "ab"
+        ]
+        plain = [r.to_json_obj() for r in reports]
+        assert len(lowered) == 2
+        memo: dict = {}
+        assert [r.to_json_obj(memo) for r in reports] == plain
+        assert len(lowered) == 3
+        assert plain[0]["digest"] != plain[1]["digest"]

@@ -878,6 +878,66 @@ class TestModelSharing:
                 assert set(calls) == keys
 
 
+class TestPinnedSetSharing:
+    """verify_theorem folds and reports each distinct pinned-set outcome once."""
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        """The number of _analysis calls so far."""
+        count = [0]
+        fold = bunkbed.tripartitions._analysis
+
+        def spy(*args):
+            count[0] += 1
+            return fold(*args)
+
+        monkeypatch.setattr(bunkbed.tripartitions, "_analysis", spy)
+        return count
+
+    @pytest.mark.parametrize("text, u, v, distinct", [
+        (PATH5_TEXT, "a", "f", 2),
+        (SIX_VERTEX_TEXT, "u", "v", 9),
+    ])
+    def test_folds_once_per_distinct_key(self, folds, text, u, v, distinct):
+        g = parse_edge_list(text)
+        verify_theorem(g, u, v)
+        assert folds[0] == distinct
+        verify_theorem(g, u, v)  # no cache outlives a call
+        assert folds[0] == 2 * distinct
+
+    def test_family_pass_folds_47_times(self, folds):
+        for g in _lane_graphs().values():
+            verify_theorem(g, g.vertices[0], g.vertices[-1])
+        assert folds[0] == 47
+
+    @staticmethod
+    def _assert_reports_match(got, expected, label):
+        assert len(got) == len(expected), label
+        for r, s in zip(got, expected):
+            for field in ("check", "verdict", "inputs", "quantities", "witnesses"):
+                assert getattr(r, field) == getattr(s, field), (label, field)
+            assert r.to_json_obj() == s.to_json_obj(), label
+
+    def test_reports_match_per_set_oracle(self):
+        for name, g in _lane_graphs().items():
+            u, v = g.vertices[0], g.vertices[-1]
+            _, reports = verify_theorem(g, u, v)
+            expected = [r for t in _pinned_sets(g) for r in verify_conditioning(g, t, u, v)]
+            self._assert_reports_match(reports, expected, name)
+            # One memo over the call, as the CLI lowers it, gives the same data.
+            memo: dict = {}
+            assert [r.to_json_obj(memo) for r in reports] == [
+                r.to_json_obj() for r in expected], name
+
+    def test_six_vertex_reports_match_per_set_oracle(self):
+        g = parse_edge_list(SIX_VERTEX_TEXT)
+        _, reports = verify_theorem(g, "u", "v")
+        for t in (frozenset(), frozenset({"b", "e"}), frozenset(g.vertices)):
+            code = sum(1 << i for i, x in enumerate(g.vertices) if x in t)
+            self._assert_reports_match(reports[3 * code:3 * code + 3],
+                                       verify_conditioning(g, t, "u", "v"), sorted(t))
+
+
 @st.composite
 def multigraphs_with_loops(draw):
     n = draw(st.integers(min_value=1, max_value=4))
