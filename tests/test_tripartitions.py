@@ -929,6 +929,16 @@ class TestPinnedSetSharing:
             assert [r.to_json_obj(memo) for r in reports] == [
                 r.to_json_obj() for r in expected], name
 
+    def test_sets_that_differ_only_in_an_f_sum_fold_apart(self, folds):
+        # On a four-cycle with a pendant edge and u == v, two pinned sets
+        # give every tripartition the same class and checks but differ in
+        # one f-sum, so the key must hold the f-sums too.
+        g = parse_edge_list("a b\nb c\nc d\nd a\nb e")
+        _, reports = verify_theorem(g, "a", "a")
+        assert folds[0] == 13
+        expected = [r for t in _pinned_sets(g) for r in verify_conditioning(g, t, "a", "a")]
+        self._assert_reports_match(reports, expected, "four-cycle with pendant")
+
     def test_six_vertex_reports_match_per_set_oracle(self):
         g = parse_edge_list(SIX_VERTEX_TEXT)
         _, reports = verify_theorem(g, "u", "v")
