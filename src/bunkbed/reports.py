@@ -78,8 +78,8 @@ def encode_value(value, memo: dict | None = None):
     raise TypeError(f"cannot encode {type(value).__name__} into a report")
 
 
-def canonical_json(value) -> str:
-    return dump_json(encode_value(value))
+def canonical_json(value, memo: dict | None = None) -> str:
+    return dump_json(encode_value(value, memo))
 
 
 def dump_json(lowered) -> str:
@@ -98,8 +98,8 @@ class VerificationReport:
     witnesses: dict = field(default_factory=dict)
 
     def digest(self, memo: dict | None = None) -> str:
-        payload = {"check": encode_value(self.check), "inputs": encode_value(self.inputs, memo)}
-        return hashlib.sha256(dump_json(payload).encode()).hexdigest()[:16]
+        payload = canonical_json({"check": self.check, "inputs": self.inputs}, memo)
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def to_json_obj(self, memo: dict | None = None) -> dict:
         """The report as JSON-safe data; memo is as in encode_value."""

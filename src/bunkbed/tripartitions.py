@@ -235,7 +235,7 @@ def _outcomes(
     out: list[_Outcome] = []
     seen: dict = {}  # many image sets share one outcome; build it once
     # 2^(k - w) consecutive parts make up the block of one image set
-    for code, block in enumerate(zip(parts) if k <= w else zip(*[parts] * (1 << (k - w)))):
+    for code, block in enumerate(zip(*[parts] * (1 << (k - w)))):
         blocked = code if pinned is None else pinned
         side = grown = 0 if (blocked >> pu) & 1 else 1 << pu
         while grown:
@@ -505,12 +505,6 @@ def _inputs(g: Multigraph, t: frozenset, u: Vertex, v: Vertex) -> dict:
     return {"graph": graph, "pinned": sorted(map(str, t)), "u": str(u), "v": str(v)}
 
 
-def _point(m: int) -> tuple[Fraction, Fraction, Fraction]:
-    """p0 = threshold_point(m), the domination factor 2^-m, and the floor (p0 (1-p0))^m."""
-    p0 = threshold_point(m)
-    return p0, Fraction(1, 2 ** m), (p0 * (1 - p0)) ** m
-
-
 def _identity_body(analysis: TripartitionAnalysis, difference: RationalPoly) -> dict:
     """The fields of expansion_identity_check's report, except inputs."""
     verdict = PASS if difference == analysis.expansion_sum else FAIL
@@ -542,14 +536,13 @@ def expansion_identity_check(
 
 
 def _bound_body(
-    analysis: TripartitionAnalysis, value: Fraction, connected: bool, point: tuple
+    analysis: TripartitionAnalysis, value: Fraction, connected: bool, p0: Fraction, m: int
 ) -> dict:
-    """bound_report's fields, except inputs, from the difference at p0 and _point(|E|)."""
-    p0, scale, floor = point
+    """bound_report's fields, except inputs, from the difference at p0 = threshold_point(m)."""
     mass_short = analysis.class_mass[DistanceClass.AT_MOST_ONE.value].evaluate(p0)
     mass_far = analysis.class_mass[DistanceClass.AT_LEAST_TWO.value].evaluate(p0)
 
-    bound = scale * mass_short
+    bound = Fraction(1, 2 ** m) * mass_short
     domination = mass_far <= bound
     domination_strict = mass_short == 0 or mass_far < bound
     domination_sharp = mass_far <= bound / 2
@@ -557,6 +550,7 @@ def _bound_body(
         # No short tripartitions at all forces the far class to vanish too.
         domination = domination and mass_far == 0
 
+    floor = (p0 * (1 - p0)) ** m
     floor_ok = (not connected) or value >= floor
     safe_ok = not analysis.safe_bound_failures
     pointwise_ok = not analysis.pointwise_failures
@@ -625,9 +619,9 @@ def bound_report(
         analysis = analyze_tripartitions(g, t, u, v, caps=caps)
     if difference is None:
         difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
-    point = _point(g.edge_count)
+    p0 = threshold_point(g.edge_count)
     connected = connected_avoiding(g, u, v, t)
-    body = _bound_body(analysis, difference.evaluate(point[0]), connected, point)
+    body = _bound_body(analysis, difference.evaluate(p0), connected, p0, g.edge_count)
     return VerificationReport(inputs=_inputs(g, t, u, v), **body)
 
 
@@ -683,16 +677,17 @@ def _reports(g: Multigraph, u: Vertex, v: Vertex, rows: Iterable) -> list[Verifi
 
     Rows with one analysis, difference and connectivity share report fields, built once.
     """
-    point, common, shared, reports = _point(g.edge_count), _inputs(g, frozenset(), u, v), {}, []
+    m, common, shared, reports = g.edge_count, _inputs(g, frozenset(), u, v), {}, []
+    p0 = threshold_point(m)
     for t, analysis, difference in rows:
         connected = connected_avoiding(g, u, v, t)
         key = (id(analysis), id(difference), connected)
         if key not in shared:  # holding both objects keeps their ids from being reused
-            value = difference.evaluate(point[0])
+            value = difference.evaluate(p0)
             shared[key] = analysis, difference, [
                 _identity_body(analysis, difference),
-                _bound_body(analysis, value, connected, point),
-                _sign_body(value, connected, point[0]),
+                _bound_body(analysis, value, connected, p0, m),
+                _sign_body(value, connected, p0),
             ]
         inputs = {**common, "pinned": sorted(map(str, t))}
         reports.extend(VerificationReport(inputs=inputs, **body) for body in shared[key][2])
@@ -712,7 +707,9 @@ def verify_theorem(
     checked on the total work before anything is built: that pass over
     2^(2|E| + |V|) configurations, 3^|E| tripartitions, and up/down
     models over at most the non-loop edges of the graph.  Pinned sets
-    with like outcomes share report fields, built once per call.
+    with like outcomes share report fields, built once per call, so one
+    quantities or witnesses dict (and the inputs' graph) may belong to
+    many reports: treat the reports as read-only.
     """
     n = g.vertex_count
     _check_cap(2 * g.edge_count + n, caps)
