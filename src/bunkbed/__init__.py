@@ -80,7 +80,6 @@ from .tripartitions import (
     bound_report,
     enumerate_tripartitions,
     expansion_identity_check,
-    mirroring_involution_check,
     theorem_sign_check,
     updown_f_values,
     validate_tripartition,

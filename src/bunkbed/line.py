@@ -67,14 +67,9 @@ class LineQuantities:
 _POLY_POINT = tuple(RationalPoly(c, VAR_Q) for c in ((0, 1), (1,), (1, -1)))
 
 
-def _gap_coefficients(n: int) -> RationalPoly:
-    """q^(n+1) (1-q)^n, from the binomial theorem."""
-    return RationalPoly([0] * (n + 1) + [(-1) ** k * comb(n, k) for k in range(n + 1)], VAR_Q)
-
-
 def gap_polynomial(n: int) -> RationalPoly:
-    """Closed form q^(n+1) (1-q)^n for to_bottom - to_top."""
-    return _gap_coefficients(n)
+    """Closed form q^(n+1) (1-q)^n for to_bottom - to_top, by the binomial theorem."""
+    return RationalPoly([0] * (n + 1) + [(-1) ** k * comb(n, k) for k in range(n + 1)], VAR_Q)
 
 
 def _line_recursion(a, b, c) -> Iterator[tuple]:
@@ -111,7 +106,7 @@ def _doubled_ends(both, exactly_one, gap) -> tuple:
 
 def _quantities(n: int, both, exactly_one, bottom_only, top_only) -> LineQuantities:
     """LineQuantities from the polynomial route's state at step n."""
-    ends = _doubled_ends(both, exactly_one, _gap_coefficients(n))
+    ends = _doubled_ends(both, exactly_one, gap_polynomial(n))
     to_bottom, to_top = (e * Fraction(1, 2) for e in ends)
     return LineQuantities(n, to_bottom, to_top, both, exactly_one, bottom_only, top_only)
 

@@ -130,19 +130,6 @@ def _row(
     return domain, images, (len(index), index[projection[u]], index[projection[v]], domain)
 
 
-def _single(
-    g: Multigraph, s: Tripartition, t: Iterable[Vertex], u: Vertex, v: Vertex, caps: Caps
-) -> tuple[list, tuple]:
-    """Domain and _f_parts/_outcomes arguments of one tripartition, posts fixed."""
-    validate_tripartition(g, s)
-    t = frozenset(t)
-    for w in (u, v, *t):
-        g.require_vertex(w)
-    domain, images, ends = _row(g, *minor(g, s.none_open, s.both_open), u, v)
-    _check_updown(len(domain), caps)
-    return domain, (*ends, _image(images, t))
-
-
 def _f_parts(n: int, pu: int, pv: int, domain: list, pinned: Optional[int]):
     """Yield the f lanes of the up/down model, 2^min(k, _LANE_BITS) bits a part.
 
@@ -207,10 +194,8 @@ class _Outcome(NamedTuple):
 
     cls: DistanceClass
     total: int  # sum of f over the assignments
-    side: int  # vertices reachable from the u image avoiding pinned images
-    flip: int  # domain edges with no end on that side
     negative: bool  # AT_MOST_ONE only: some f < 0
-    negates: bool  # UNREACHABLE only: the flip negates f everywhere
+    negates: bool  # UNREACHABLE only: flipping the far side negates f everywhere
     factor: Fraction  # total / 2^(|domain| + 1)
 
 
@@ -224,6 +209,8 @@ def _outcomes(
     the u image, at most one when the images are equal or adjacent, at
     least two otherwise.  The factor is P(u0~v0) - P(u0~v1), half the
     mean of f because swapping every edge's level preserves the measure.
+    An unreachable set's flip takes the domain edges with no end on the
+    u image's pinned-free side: the mirroring involution.
     """
     k = len(domain)
     w = min(k, enumeration._LANE_BITS)
@@ -249,9 +236,10 @@ def _outcomes(
         total = 0
         for a, b, c, d in block:
             total += a.bit_count() + b.bit_count() - c.bit_count() - d.bit_count()
-        flip, negative, negates = 0, False, True
+        negative, negates = False, True
         if not (side >> pv) & 1:
             cls = DistanceClass.UNREACHABLE
+            flip = 0
             for i, (_, a, b) in enumerate(domain):
                 if not ((side >> a) | (side >> b)) & 1:
                     flip |= 1 << i
@@ -261,7 +249,7 @@ def _outcomes(
             negative = any(_below(*part) for part in block)
         else:
             cls = DistanceClass.AT_LEAST_TWO
-        key = (cls, total, side, flip, negative, negates)
+        key = (cls, total, negative, negates)
         if key not in seen:
             seen[key] = _Outcome(*key, Fraction(total, 2 << k))
         out.append(seen[key])
@@ -284,10 +272,15 @@ def updown_f_values(
     of [both bottoms connect] + [both tops connect] - [bottom-to-top]
     - [top-to-bottom] between the endpoint images.
     """
-    domain, args = _single(g, s, t, u, v, caps)
+    validate_tripartition(g, s)
+    t = frozenset(t)
+    for w in (u, v, *t):
+        g.require_vertex(w)
+    domain, images, ends = _row(g, *minor(g, s.none_open, s.both_open), u, v)
+    _check_updown(len(domain), caps)
     values = [
         ((a >> m) & 1) + ((b >> m) & 1) - ((c >> m) & 1) - ((d >> m) & 1)
-        for a, b, c, d in _f_parts(*args)
+        for a, b, c, d in _f_parts(*ends, _image(images, t))
         for m in range(1 << min(len(domain), enumeration._LANE_BITS))
     ]
     return tuple(eid for eid, _, _ in domain), values
@@ -457,46 +450,6 @@ def _analysis(
     )
 
 
-def mirroring_involution_check(
-    g: Multigraph,
-    s: Tripartition,
-    t: Iterable[Vertex],
-    u: Vertex,
-    v: Vertex,
-    *,
-    caps: Caps = DEFAULT_CAPS,
-) -> VerificationReport:
-    """Exhaustively verify the measure-preserving flip that kills the factor.
-
-    Only meaningful when the endpoint images cannot reach each other
-    avoiding the pinned set; raises ValueError otherwise.  The check
-    confirms that flipping every edge on the far side of the pinned
-    boundary negates the symmetrized indicator, and that the factor is
-    exactly zero.
-    """
-    t = frozenset(t)
-    domain, args = _single(g, s, t, u, v, caps)
-    out = _outcomes(*args)[0]
-    if out.cls is not DistanceClass.UNREACHABLE:
-        raise ValueError(
-            "mirroring involution applies only to unreachable tripartitions"
-        )
-    return VerificationReport(
-        check="mirroring_involution",
-        verdict=PASS if (out.negates and out.factor == 0) else FAIL,
-        inputs={**_inputs(g, t, u, v), "tripartition": s},
-        quantities={
-            "factor": out.factor,
-            "flip_negates": out.negates,
-            "u_side_size": out.side.bit_count(),
-            "flipped_edges": sorted(
-                eid for i, (eid, _, _) in enumerate(domain) if (out.flip >> i) & 1
-            ),
-        },
-        witnesses={},
-    )
-
-
 def _inputs(g: Multigraph, t: frozenset, u: Vertex, v: Vertex) -> dict:
     graph = {
         "vertices": [str(x) for x in g.vertices],
@@ -523,16 +476,9 @@ def expansion_identity_check(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    analysis: Optional[TripartitionAnalysis] = None,
-    difference: Optional[RationalPoly] = None,
 ) -> VerificationReport:
     """Exact equality of the conditional difference and its expansion."""
-    t = frozenset(t)
-    if analysis is None:
-        analysis = analyze_tripartitions(g, t, u, v, caps=caps)
-    if difference is None:
-        difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
-    return VerificationReport(inputs=_inputs(g, t, u, v), **_identity_body(analysis, difference))
+    return verify_conditioning(g, t, u, v, caps=caps)[0]
 
 
 def _bound_body(
@@ -595,8 +541,6 @@ def bound_report(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    analysis: Optional[TripartitionAnalysis] = None,
-    difference: Optional[RationalPoly] = None,
 ) -> VerificationReport:
     """Uniform factor bounds on short tripartitions and mass domination.
 
@@ -609,20 +553,12 @@ def bound_report(
     The sharper factor 2^(-|E|-1) is recorded the same way as the
     stronger per-tripartition bound: it can genuinely fail (the path
     with four edges, endpoints three apart, no open posts, has far/short
-    mass ratio 634500/15946875 > 1/32 at p0 = 15/16), so violations
-    downgrade the verdict to DISCREPANCY, never FAIL.  When u and v are
-    connected avoiding t, the evaluated difference must be at least
+    mass ratio 188/4725 > 1/32 at p0 = 15/16), so violations downgrade
+    the verdict to DISCREPANCY, never FAIL.  When u and v are connected
+    avoiding t, the evaluated difference must be at least
     p0^|E| (1-p0)^|E|.
     """
-    t = frozenset(t)
-    if analysis is None:
-        analysis = analyze_tripartitions(g, t, u, v, caps=caps)
-    if difference is None:
-        difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
-    p0 = threshold_point(g.edge_count)
-    connected = connected_avoiding(g, u, v, t)
-    body = _bound_body(analysis, difference.evaluate(p0), connected, p0, g.edge_count)
-    return VerificationReport(inputs=_inputs(g, t, u, v), **body)
+    return verify_conditioning(g, t, u, v, caps=caps)[1]
 
 
 def _sign_body(value: Fraction, connected: bool, p0: Fraction) -> dict:
@@ -642,19 +578,18 @@ def theorem_sign_check(
     v: Vertex,
     *,
     caps: Caps = DEFAULT_CAPS,
-    difference: Optional[RationalPoly] = None,
 ) -> VerificationReport:
     """Sign of the conditional difference at the dyadic point.
 
     Nonnegative always; strictly positive exactly when u and v are
     connected avoiding the pinned set (which requires both endpoints to
-    be unpinned).
+    be unpinned).  The same as verify_conditioning's third report, but
+    without the tripartition sweep.
     """
     t = frozenset(t)
-    if difference is None:
-        difference = difference_polynomial(g, u, v, pinned=t, caps=caps)
     p0 = threshold_point(g.edge_count)
-    body = _sign_body(difference.evaluate(p0), connected_avoiding(g, u, v, t), p0)
+    value = difference_polynomial(g, u, v, pinned=t, caps=caps).evaluate(p0)
+    body = _sign_body(value, connected_avoiding(g, u, v, t), p0)
     return VerificationReport(inputs=_inputs(g, t, u, v), **body)
 
 
@@ -666,7 +601,11 @@ def verify_conditioning(
     *,
     caps: Caps = DEFAULT_CAPS,
 ) -> list[VerificationReport]:
-    """Expansion, bounds, and sign reports for one pinned set."""
+    """Expansion, bounds, and sign reports for one pinned set.
+
+    These are the reports of expansion_identity_check, bound_report and
+    theorem_sign_check, in that order, from one sweep and one difference.
+    """
     t = frozenset(t)
     analysis = analyze_tripartitions(g, t, u, v, caps=caps)
     return _reports(g, u, v, [(t, analysis, difference_polynomial(g, u, v, pinned=t, caps=caps))])

@@ -217,7 +217,9 @@ class TestLineCommand:
             capsys, ["line", "--n", "8", "--gap", "--series", "--lambda", "1/2"]
         )
         assert code == 0
-        assert sorted(calls) == ["gap_polynomial", "line_quantities"]
+        # One gap for the line_gap report, one inside line_quantities,
+        # which rebuilds to_bottom and to_top from it.
+        assert sorted(calls) == ["gap_polynomial", "gap_polynomial", "line_quantities"]
 
 
 class TestMonteCarloCommand:

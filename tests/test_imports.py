@@ -7,17 +7,23 @@ name elsewhere; an import inside a function fails unless that function
 (nested functions included) refers to it, so a stale lazy import is
 caught even when another function uses the same name.  from __future__
 imports are exempt.
+
+Every name the benchmark tracer patches must also exist in the package:
+the tracer skips a missing name and its layer silently reads 0.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "bunkbed"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+TRACER = SOURCE.parent.parent / "benchmarks" / "tracer.py"
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -68,3 +74,25 @@ def test_stale_function_import_is_caught():
                      "    def inner():\n        return json.dumps(1)\n"
                      "    return inner\n")
     assert unused_imports(tree) == ["np (line 3)"]
+
+
+def tracer_targets() -> tuple:
+    """The tracer's TARGETS, read from its source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("benchmarks/tracer.py defines no TARGETS")
+
+
+def test_every_tracer_target_resolves():
+    targets = tracer_targets()
+    assert targets
+    missing = []
+    for _, module, path in targets:
+        try:
+            reduce(getattr, path.split("."), importlib.import_module(module))
+        except (ImportError, AttributeError):
+            missing.append(f"{module}.{path}")
+    assert missing == []

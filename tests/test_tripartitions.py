@@ -32,7 +32,6 @@ from bunkbed import (
     enumerate_tripartitions,
     expansion_identity_check,
     minor,
-    mirroring_involution_check,
     parse_edge_list,
     theorem_sign_check,
     threshold_point,
@@ -387,9 +386,8 @@ class TestFactors:
             one_open=frozenset(g.edge_ids),
             both_open=frozenset(),
         )
-        for check in (updown_f_values, mirroring_involution_check):
-            with pytest.raises(CapExceededError):
-                check(g, all_one, frozenset(), "a", "c", caps=Caps(max_updown_bits=3))
+        with pytest.raises(CapExceededError):
+            updown_f_values(g, all_one, frozenset(), "a", "c", caps=Caps(max_updown_bits=3))
 
 
 class TestClassify:
@@ -454,40 +452,16 @@ class TestExpansionIdentity:
 
 class TestMirroring:
     def test_blocked_path_all_unreachable(self, family):
+        # Pinning the middle vertex cuts every tripartition's endpoint
+        # images apart, so the flip must kill all nine factors.
         g = family["path2"]
         t = frozenset({"b"})
-        checked = 0
+        analysis = analyze_tripartitions(g, t, "a", "c")
         for s in enumerate_tripartitions(g):
-            cls, _ = classify(g, s, t, "a", "c")
-            assert cls == DistanceClass.UNREACHABLE
-            report = mirroring_involution_check(g, s, t, "a", "c")
-            assert report.verdict == PASS
-            assert report.quantities["factor"] == 0
-            checked += 1
-        assert checked == 9
-
-    def test_rejects_reachable_tripartition(self, k2):
-        s = Tripartition(
-            none_open=frozenset(), one_open=frozenset({0}), both_open=frozenset()
-        )
-        with pytest.raises(ValueError):
-            mirroring_involution_check(k2, s, frozenset(), "u", "v")
-
-    def test_rejects_exactly_the_reachable_classes(self, family):
-        # The lane pass decides the class; the BFS oracle must agree on
-        # which tripartitions the involution applies to.
-        for name in ("path4", "cycle4", "paw"):
-            g = family[name]
-            x, y = g.vertices[0], g.vertices[-1]
-            for t in (frozenset(), frozenset({g.vertices[1]}), frozenset(g.vertices)):
-                for s in enumerate_tripartitions(g):
-                    cls, _ = classify(g, s, t, x, y)
-                    if cls is DistanceClass.UNREACHABLE:
-                        report = mirroring_involution_check(g, s, t, x, y)
-                        assert report.verdict == PASS, (name, t, s)
-                    else:
-                        with pytest.raises(ValueError):
-                            mirroring_involution_check(g, s, t, x, y)
+            assert classify(g, s, t, "a", "c")[0] is DistanceClass.UNREACHABLE
+        assert analysis.classes == [DistanceClass.UNREACHABLE] * 9
+        assert analysis.factors == [0] * 9
+        assert analysis.mirror_failures == []
 
 
 class TestBoundReport:
@@ -529,6 +503,8 @@ class TestBoundReport:
         assert report.quantities["mass_domination"] is True
         assert report.quantities["mass_domination_strict"] is True
         assert report.quantities["mass_domination_sharp"] is False
+        far, short = (report.quantities[k] for k in ("far_mass_at_p0", "short_mass_at_p0"))
+        assert far / short == Fraction(188, 4725)
 
     def test_class_masses_partition_unity(self, family):
         for name, g in family.items():
@@ -558,6 +534,29 @@ class TestSignCheck:
 
 
 class TestSweeps:
+    def test_single_checks_are_verify_conditioning_rows(self, family):
+        checks = (expansion_identity_check, bound_report, theorem_sign_check)
+        for name, g in family.items():
+            x, y = g.vertices[0], g.vertices[-1]
+            for t in (frozenset(), frozenset({x}), frozenset(g.vertices)):
+                rows = verify_conditioning(g, t, x, y)
+                for check, row in zip(checks, rows, strict=True):
+                    got = check(g, t, x, y)
+                    for field in ("check", "verdict", "inputs", "quantities", "witnesses"):
+                        assert getattr(got, field) == getattr(row, field), (name, t, field)
+                    assert got.to_json_obj() == row.to_json_obj(), (name, t)
+
+    def test_sign_check_skips_the_tripartition_sweep(self, monkeypatch, k2):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the sign check built a tripartition table")
+
+        monkeypatch.setattr(TripartitionTable, "build", no_table)
+        with pytest.raises(AssertionError, match="tripartition table"):
+            bound_report(k2, frozenset(), "u", "v")
+        report = theorem_sign_check(k2, frozenset(), "u", "v")
+        assert report.verdict == PASS
+        assert report.quantities["difference_at_p0"] == Fraction(7, 8)
+
     def test_verify_conditioning_shares_results(self, k2):
         reports = verify_conditioning(k2, frozenset(), "u", "v")
         assert [r.check for r in reports] == [
@@ -743,7 +742,7 @@ class TestLanePass:
         ]
         def outcome(cls, total, factor, negative):
             return bunkbed.tripartitions._Outcome(
-                cls, total, side=1, flip=0, negative=negative, negates=True, factor=factor
+                cls, total, negative=negative, negates=True, factor=factor
             )
 
         outcomes = [
@@ -782,9 +781,8 @@ class TestLanePass:
         with pytest.raises(CapExceededError, match="max_updown_bits"):
             verify_theorem(g, "a", "c", caps=caps)
         all_one = Tripartition(frozenset(), frozenset(g.edge_ids), frozenset())
-        for check in (updown_f_values, mirroring_involution_check):
-            with pytest.raises(CapExceededError, match="max_updown_bits"):
-                check(g, all_one, frozenset(), "a", "c", caps=caps)
+        with pytest.raises(CapExceededError, match="max_updown_bits"):
+            updown_f_values(g, all_one, frozenset(), "a", "c", caps=caps)
 
     def test_theorem_total_work_is_checked_before_building(self, monkeypatch, family):
         def no_build(*args, **kwargs):
