@@ -42,7 +42,6 @@ from .line import (
     gaussian_limit,
     iter_line_quantities,
     line_quantities,
-    path_graph,
     series_check,
 )
 from .montecarlo import (
@@ -51,7 +50,6 @@ from .montecarlo import (
     agreement_check,
     estimate_difference,
     estimate_to_json_obj,
-    sample_bunkbed,
 )
 from .polynomials import (
     RationalPoly,
@@ -59,7 +57,6 @@ from .polynomials import (
     VAR_Q,
     VariableMismatchError,
     format_fraction,
-    parse_fraction,
 )
 from .reports import (
     DISCREPANCY,

@@ -16,7 +16,6 @@ import csv
 import functools
 import io
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -41,15 +40,13 @@ from .reports import (
 )
 from .tripartitions import verify_conditioning, verify_theorem
 
-_ENV_PREFIX = "BUNKBED_"
-
 
 class UsageError(Exception):
     """Bad invocation: wrong flags, unknown vertices, unreadable input."""
 
 
-# Caps field -> flag help.  The flag is the field name with dashes, the
-# environment fallback BUNKBED_ plus the field name in capitals.
+# Caps field -> flag help.  The flag is the field name with dashes, and
+# its default the field's value in DEFAULT_CAPS.
 _CAP_HELP = {
     "max_config_bits": "largest 2^k enumeration allowed (default 26)",
     "max_tripartitions": "largest tripartition count allowed (default 3^16)",
@@ -60,12 +57,12 @@ _CONFIG_CAP = ("max_config_bits",)
 
 def _add_common(sp: argparse.ArgumentParser, caps: tuple[str, ...]) -> None:
     """--workers, --verbose, and the flags of the caps the subcommand reads."""
-    sp.add_argument("--workers", type=int, default=None,
+    sp.add_argument("--workers", type=int, default=1,
                     help="mc sampling threads; other subcommands run on one "
                          "(default 1; results do not depend on it)")
     for name in caps:
-        sp.add_argument("--" + name.replace("_", "-"), type=int, default=None,
-                        help=_CAP_HELP[name])
+        sp.add_argument("--" + name.replace("_", "-"), type=int,
+                        default=getattr(DEFAULT_CAPS, name), help=_CAP_HELP[name])
     sp.add_argument("--verbose", action="store_true",
                     help="also print a summary table to stderr")
 
@@ -131,33 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_int(value: Optional[int], name: str, default: int) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"environment {_ENV_PREFIX}{name} is not an integer: {raw!r}") from exc
-
-
-def _workers(args: argparse.Namespace) -> int:
-    workers = _resolve_int(args.workers, "WORKERS", 1)
-    if workers < 1:
-        raise UsageError("--workers must be at least 1")
-    return workers
-
-
 def _settings(args: argparse.Namespace) -> Caps:
-    """The caps the subcommand registered, each from its flag, environment or default."""
-    _workers(args)  # only mc reads it, but a bad value is an error everywhere
-    return Caps(**{
-        name: _resolve_int(getattr(args, name), name.upper(), getattr(DEFAULT_CAPS, name))
-        for name in _CAP_HELP
-        if hasattr(args, name)
-    })
+    """The caps the subcommand registered, each from its flag."""
+    if args.workers < 1:  # only mc reads it, but a bad value is an error everywhere
+        raise UsageError("--workers must be at least 1")
+    return Caps(**{name: getattr(args, name) for name in _CAP_HELP if hasattr(args, name)})
 
 
 def _load_graph(path: str) -> Multigraph:
@@ -331,7 +306,7 @@ def _cmd_mc(args) -> tuple[dict, list[VerificationReport], None]:
     if not 0 < args.k < math.inf:
         raise UsageError("--k must be finite and positive")
     estimates = estimate_difference(
-        g, u, v, p, args.samples, args.seed, pinned, workers=_workers(args)
+        g, u, v, p, args.samples, args.seed, pinned, workers=args.workers
     )
     quantities = {
         "p": p,

@@ -22,7 +22,7 @@ from .enumeration import (
     _frontier_counts,
     connection_counts,
 )
-from .graphs import INFINITY, Multigraph, Vertex, vertical_free_distance
+from .graphs import INFINITY, Multigraph, Vertex, _geodesics, vertical_free_distance
 from .polynomials import VAR_P, RationalPoly
 
 BunkbedVertex = tuple  # (base vertex, level 0 or 1)
@@ -221,31 +221,6 @@ class GeodesicCheck:
     verdict: bool
 
 
-def _bfs_geodesics(g: Multigraph, start, goal) -> tuple[float, int]:
-    """Distance and number of shortest paths, loops ignored, parallels counted."""
-    if start == goal:
-        return 0, 1
-    dist = {start: 0}
-    count = {start: 1}
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        found: dict = {}
-        for x in frontier:
-            for y, _ in g.adjacency[x]:
-                if y == x or y in dist:
-                    continue
-                found[y] = found.get(y, 0) + count[x]
-        for y, c in found.items():
-            dist[y] = d
-            count[y] = c
-        if goal in found:
-            return d, found[goal]
-        frontier = list(found)
-    return INFINITY, 0
-
-
 def geodesic_check(
     g: Multigraph,
     u: Vertex,
@@ -263,8 +238,7 @@ def geodesic_check(
     """
     g.require_vertex(u)
     g.require_vertex(v)
-    bb = bunkbed(g)
-    distance, count = _bfs_geodesics(bb, bunkbed_vertex(u, 0), bunkbed_vertex(v, 0))
+    distance, count = _geodesics(bunkbed(g), bunkbed_vertex(u, 0), bunkbed_vertex(v, 0))
     poly = connection_polynomial(
         g, bunkbed_vertex(u, 0), bunkbed_vertex(v, 0), None, caps=caps
     )

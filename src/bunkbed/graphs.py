@@ -60,10 +60,6 @@ class Multigraph:
         return frozenset(eid for eid, _, _ in self.edges)
 
     @cached_property
-    def endpoints(self) -> Mapping[EdgeId, tuple[Vertex, Vertex]]:
-        return {eid: (a, b) for eid, a, b in self.edges}
-
-    @cached_property
     def adjacency(self) -> Mapping[Vertex, tuple[tuple[Vertex, EdgeId], ...]]:
         """Neighbor lists in edge order, parallel edges repeated, loops kept."""
         adj: dict[Vertex, list[tuple[Vertex, EdgeId]]] = {v: [] for v in self.vertices}
@@ -171,6 +167,33 @@ def minor(
     return Multigraph(names, new_edges), projection
 
 
+def _geodesics(g: Multigraph, start: Vertex, goal: Vertex, avoid=()) -> tuple[float, int]:
+    """Distance and number of shortest start-goal paths through vertices outside avoid.
+
+    Loops are ignored and parallel edges counted; a start or goal in
+    avoid gives (INFINITY, 0).
+    """
+    if start in avoid or goal in avoid:
+        return INFINITY, 0
+    if start == goal:
+        return 0, 1
+    seen = {start}
+    count = {start: 1}  # shortest-path counts of the frontier
+    d = 0
+    while count:
+        d += 1
+        found: dict = {}
+        for x, c in count.items():
+            for y, _ in g.adjacency[x]:
+                if y not in seen and y not in avoid:  # x is seen, so loops are skipped
+                    found[y] = found.get(y, 0) + c
+        if goal in found:
+            return d, found[goal]
+        seen.update(found)
+        count = found
+    return INFINITY, 0
+
+
 def vertical_free_distance(
     g: Multigraph, pu: Vertex, pv: Vertex, pinned: Iterable[Vertex]
 ) -> float:
@@ -184,23 +207,4 @@ def vertical_free_distance(
     pinned = set(pinned)
     for v in pinned:
         g.require_vertex(v)
-    if pu in pinned or pv in pinned:
-        return INFINITY
-    if pu == pv:
-        return 0
-    dist = {pu: 0}
-    frontier = [pu]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for y, _ in g.adjacency[x]:
-                if y in pinned or y in dist or y == x:
-                    continue
-                if y == pv:
-                    return d
-                dist[y] = d
-                nxt.append(y)
-        frontier = nxt
-    return INFINITY
+    return _geodesics(g, pu, pv, pinned)[0]

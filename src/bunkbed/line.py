@@ -26,22 +26,12 @@ from itertools import islice
 from math import comb, isqrt
 from typing import Iterator
 
-from .graphs import Multigraph
 from .polynomials import VAR_Q, RationalPoly
 from .reports import FAIL, PARTIAL, PASS, VerificationReport
 
 _DECIMAL_PRECISION = 50
 # Continued-fraction approximation budget for irrational sqrt(n).
 _APPROX_DENOMINATOR = 10 ** 40
-
-
-def path_graph(n: int) -> Multigraph:
-    """The path with n edges on vertices '0' .. 'n'."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    vertices = tuple(str(i) for i in range(n + 1))
-    edges = tuple((i, str(i), str(i + 1)) for i in range(n))
-    return Multigraph(vertices, edges)
 
 
 @dataclass(frozen=True)

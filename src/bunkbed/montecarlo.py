@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .enumeration import _spread
-from .exact import LEVELS, _bunkbed_layout, horizontal_edge_id, vertical_edge_id
+from .exact import _bunkbed_layout
 from .graphs import Multigraph, Vertex
 
 GENERATOR = "philox4x64-raw"
@@ -70,31 +70,6 @@ def _shard_bits(seed: int, shard: int, count: int, columns: int, threshold: int)
     else:
         open_bits = raws < np.uint64(threshold)
     return open_bits.reshape(count, columns)
-
-
-def sample_bunkbed(
-    g: Multigraph,
-    p: Fraction,
-    seed: int,
-    pinned: Optional[Iterable[Vertex]] = None,
-) -> frozenset:
-    """One sampled configuration: the set of open bunkbed edge ids.
-
-    Pinned verticals are included as open; with pinned=None the vertical
-    edges are sampled like the horizontal ones.
-    """
-    # Column j is item j of _bunkbed_layout: each edge on level 0 then 1, then the posts
-    ids = [horizontal_edge_id(eid, level) for eid, _, _ in g.edges for level in LEVELS]
-    open_ids = set()
-    if pinned is None:
-        ids += [vertical_edge_id(v) for v in g.vertices]
-    else:
-        for v in pinned:
-            g.require_vertex(v)
-            open_ids.add(vertical_edge_id(v))
-    bits = _shard_bits(seed, 0, 1, max(1, len(ids)), _threshold(p))[0]
-    open_ids.update(eid for eid, bit in zip(ids, bits) if bit)
-    return frozenset(open_ids)
 
 
 def _estimate(total: int, total_sq: int, samples: int, seed: int) -> Estimate:

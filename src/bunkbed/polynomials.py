@@ -4,8 +4,7 @@ Every identity checked by this package reduces to equality of such
 polynomials, so each coefficient is an int or a fractions.Fraction,
 equal by value, and no floating point ever enters an identity path.
 The variable tag records whether a polynomial is written in the
-retention probability p or in q = 1 - p; mixing tags is an error, and
-reparam() converts between them.
+retention probability p or in q = 1 - p; mixing tags is an error.
 """
 
 from __future__ import annotations
@@ -30,10 +29,6 @@ def format_fraction(value: Coefficient) -> str:
         return f"{value}/1"
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _strip(coeffs: list[Coefficient]) -> tuple[Coefficient, ...]:
@@ -190,20 +185,6 @@ class RationalPoly:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def reparam(self) -> "RationalPoly":
-        """Substitute x <- 1 - x and flip the variable tag.
-
-        Writing f(p) in terms of q = 1 - p (or back); an involution and a
-        ring homomorphism.
-        """
-        new_var = VAR_Q if self.var == VAR_P else VAR_P
-        # Horner's rule in 1 - x.
-        one_minus_x = RationalPoly((1, -1), new_var)
-        acc = RationalPoly.zero(new_var)
-        for c in reversed(self.coeffs):
-            acc = acc * one_minus_x + c
         return acc
 
     def to_json_obj(self) -> dict:

@@ -1,12 +1,14 @@
-"""Shared fixtures: the small-graph family used across the suite."""
+"""Shared fixtures: the small-graph family used across the suite, the
+n-edge path, and an independent p <-> q = 1 - p converter."""
 
 from __future__ import annotations
 
 import sys
+from math import comb
 
 import pytest
 
-from bunkbed import Multigraph, parse_edge_list
+from bunkbed import Multigraph, RationalPoly, VAR_P, VAR_Q, parse_edge_list
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -60,3 +62,18 @@ def six_vertex() -> Multigraph:
 @pytest.fixture(scope="session")
 def k2() -> Multigraph:
     return parse_edge_list("u v")
+
+
+def path_graph(n: int) -> Multigraph:
+    """The path with n edges on vertices '0' .. 'n'."""
+    vertices = tuple(str(i) for i in range(n + 1))
+    return Multigraph(vertices, tuple((i, str(i), str(i + 1)) for i in range(n)))
+
+
+def reparam_by_binomial(poly: RationalPoly) -> RationalPoly:
+    """Substitute x -> 1 - x and flip the variable tag, via explicit binomial sums."""
+    var = VAR_Q if poly.var == VAR_P else VAR_P
+    out = RationalPoly.zero(var)
+    for k, c in enumerate(poly.coeffs):
+        out = out + RationalPoly([(-1) ** j * comb(k, j) for j in range(k + 1)], var) * c
+    return out

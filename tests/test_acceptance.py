@@ -42,13 +42,14 @@ from bunkbed import (
     geodesic_check,
     line_quantities,
     parse_edge_list,
-    path_graph,
     series_check,
     threshold_point,
 )
 from bunkbed.cli import run as cli_run
 
-from conftest import FAMILY_TEXT, SIX_VERTEX_TEXT, family_graphs
+from conftest import (
+    FAMILY_TEXT, SIX_VERTEX_TEXT, family_graphs, path_graph, reparam_by_binomial,
+)
 
 
 ANNOUNCED: list[str] = []
@@ -112,8 +113,8 @@ def test_criterion_01_gap_identity():
         same, cross = connection_query_polynomials(
             g, [((start, end0),), ((start, end1),)], pinned=None
         )
-        for ours, theirs in ((lq.to_bottom, same.reparam()),
-                             (lq.to_top, cross.reparam())):
+        for ours, theirs in ((lq.to_bottom, reparam_by_binomial(same)),
+                             (lq.to_top, reparam_by_binomial(cross))):
             if ours != theirs or (
                 canonical_json(encode_value(ours))
                 != canonical_json(encode_value(theirs))

@@ -153,6 +153,16 @@ class TestExitCodes:
             assert code == 2, k
             assert "--k" in err, k
 
+    def test_workers_below_one_is_usage_error(self, capsys, k2_file):
+        pair = ["--graph", k2_file, "--u", "u", "--v", "v"]
+        for argv in (["exact", *pair], ["expand", *pair, "--pinned", ""],
+                     ["verify-theorem", *pair], ["line", "--n", "1"],
+                     ["mc", *pair, "--p", "1/2", "--samples", "10", "--seed", "1"],
+                     ["geodesic-check", *pair]):
+            code, out, err = run_cli(capsys, argv + ["--workers", "0"])
+            assert (code, out) == (2, ""), argv[0]
+            assert "--workers must be at least 1" in err, argv[0]
+
     def test_cap_exceeded_is_exit_two(self, capsys, path4_file):
         code, _, err = run_cli(
             capsys,
@@ -304,35 +314,6 @@ class TestDeterminism:
             # The envelope is dumped once, in canonical form.
             canonical = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
             assert out == canonical + "\n"
-
-
-class TestEnvironmentOverrides:
-    def test_env_cap_applies(self, capsys, path4_file, monkeypatch):
-        monkeypatch.setenv("BUNKBED_MAX_CONFIG_BITS", "4")
-        code, _, err = run_cli(
-            capsys, ["exact", "--graph", path4_file, "--u", "a", "--v", "e"]
-        )
-        assert code == 2
-        assert "max_config_bits" in err
-
-    def test_flag_beats_env(self, capsys, path4_file, monkeypatch):
-        monkeypatch.setenv("BUNKBED_MAX_CONFIG_BITS", "4")
-        code, _, _ = run_cli(
-            capsys,
-            [
-                "exact", "--graph", path4_file, "--u", "a", "--v", "e",
-                "--max-config-bits", "26",
-            ],
-        )
-        assert code == 0
-
-    def test_bad_env_value_is_usage_error(self, capsys, k2_file, monkeypatch):
-        monkeypatch.setenv("BUNKBED_WORKERS", "many")
-        code, _, err = run_cli(
-            capsys, ["exact", "--graph", k2_file, "--u", "u", "--v", "v"]
-        )
-        assert code == 2
-        assert "BUNKBED_WORKERS" in err
 
 
 def package_env() -> dict:

@@ -1,4 +1,4 @@
-"""Multigraph parsing, components, minors, and vertical-free distance."""
+"""Multigraph parsing, components, minors, vertical-free distance, geodesics."""
 
 from __future__ import annotations
 
@@ -12,11 +12,14 @@ from bunkbed import (
     GraphParseError,
     INFINITY,
     Multigraph,
+    bunkbed,
     connected_components,
+    geodesic_check,
     minor,
     parse_edge_list,
     vertical_free_distance,
 )
+from bunkbed.graphs import _geodesics
 
 from conftest import FAMILY_TEXT, family_graphs
 
@@ -178,3 +181,56 @@ class TestVerticalFreeDistance:
                 for w in vs:
                     more = vertical_free_distance(g, x, y, frozenset({w}))
                     assert more >= base
+
+
+@st.composite
+def multigraph_pairs(draw):
+    """A multigraph on 1-5 vertices with loops and parallel edges, and two endpoints."""
+    vertices = tuple("abcde"[:draw(st.integers(1, 5))])
+    vertex = st.sampled_from(vertices)
+    ends = draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    g = Multigraph(vertices, tuple((i, a, b) for i, (a, b) in enumerate(ends)))
+    return g, draw(vertex), draw(vertex)
+
+
+def walk_geodesics(g, start, goal, avoid=frozenset()) -> tuple:
+    """(least L with a start-goal walk of length L, the number of such walks).
+
+    Walks stay on the vertices outside avoid and use the loop-free
+    adjacency matrix A, parallel edges as multiplicities; the count is
+    entry (start, goal) of A^L.  A shortest walk is a path.
+    """
+    allowed = [x for x in g.vertices if x not in avoid]
+    if start not in allowed or goal not in allowed:
+        return INFINITY, 0
+    pos = {x: i for i, x in enumerate(allowed)}
+    adj = [[0] * len(allowed) for _ in allowed]
+    for _, a, b in g.edges:
+        if a != b and a in pos and b in pos:
+            adj[pos[a]][pos[b]] += 1
+            adj[pos[b]][pos[a]] += 1
+    row = [int(x == start) for x in allowed]  # row start of A^length
+    for length in range(len(allowed)):
+        if row[pos[goal]]:
+            return length, row[pos[goal]]
+        row = [sum(r * a[j] for r, a in zip(row, adj)) for j in range(len(allowed))]
+    return INFINITY, 0
+
+
+class TestGeodesics:
+    @given(multigraph_pairs())
+    def test_matches_walk_counts(self, case):
+        g, u, v = case
+        for bits in range(1 << g.vertex_count):  # every avoid set
+            avoid = frozenset(x for i, x in enumerate(g.vertices) if bits >> i & 1)
+            expected = walk_geodesics(g, u, v, avoid)
+            assert _geodesics(g, u, v, avoid) == expected
+            assert vertical_free_distance(g, u, v, avoid) == expected[0]
+
+    @given(multigraph_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_geodesic_check_matches_walk_counts(self, case):
+        g, u, v = case
+        r = geodesic_check(g, u, v)
+        assert (r.distance, r.geodesic_count) == walk_geodesics(bunkbed(g), (u, 0), (v, 0))
+        assert r.verdict is True

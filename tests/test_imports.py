@@ -10,6 +10,9 @@ imports are exempt.
 
 Every name the benchmark tracer patches must also exist in the package:
 the tracer skips a missing name and its layer silently reads 0.
+
+No test may assert a bare is_* attribute, such as `assert poly.is_zero`:
+that is a bound method, always true, so the assertion can never fail.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import pytest
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "bunkbed"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
 TRACER = SOURCE.parent.parent / "benchmarks" / "tracer.py"
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -96,3 +100,22 @@ def test_every_tracer_target_resolves():
         except (ImportError, AttributeError):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def uncalled_predicates(tree: ast.Module) -> list[str]:
+    """The asserts whose whole expression is an is_* attribute with no call."""
+    return [f"{node.test.attr} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.Assert) and isinstance(node.test, ast.Attribute)
+            and node.test.attr.startswith("is_")]
+
+
+def test_no_assert_on_an_uncalled_predicate():
+    found = [f"{path.name}: {hit}" for path in TESTS
+             for hit in uncalled_predicates(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_uncalled_predicate_is_caught():
+    tree = ast.parse("assert p.is_zero\nassert p.is_zero()\nassert q.r.is_one, 'msg'\n"
+                     "assert p.is_zero and q\nassert p.degree\n")
+    assert uncalled_predicates(tree) == ["is_zero (line 1)", "is_one (line 3)"]

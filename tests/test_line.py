@@ -25,10 +25,10 @@ from bunkbed import (
     gaussian_limit,
     iter_line_quantities,
     line_quantities,
-    path_graph,
     series_check,
 )
 from bunkbed.line import LineQuantities, _exact_point, gap_holds
+from conftest import path_graph, reparam_by_binomial
 
 qpoly = lambda coeffs: RationalPoly(coeffs, VAR_Q)
 
@@ -95,7 +95,7 @@ class TestBaseCase:
     def test_n0_values(self):
         lq = line_quantities(0)
         assert lq.to_bottom_only == qpoly([0, 1])
-        assert lq.to_top_only.is_zero
+        assert lq.to_top_only.is_zero()
         assert lq.to_both == qpoly([1, -1])
         assert lq.to_exactly_one == qpoly([0, 1])
         assert lq.to_bottom == qpoly([1])
@@ -179,7 +179,7 @@ class TestEnumerationAgreement:
         end0 = bunkbed_vertex(g.vertices[-1], 0)
         end1 = bunkbed_vertex(g.vertices[-1], 1)
         to_bottom, to_top, to_both = (
-            poly.reparam()
+            reparam_by_binomial(poly)
             for poly in connection_query_polynomials(
                 g,
                 [((start, end0),), ((start, end1),), ((start, end0), (start, end1))],

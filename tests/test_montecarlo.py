@@ -23,10 +23,9 @@ from bunkbed import (
     estimate_to_json_obj,
     horizontal_edge_id,
     parse_edge_list,
-    sample_bunkbed,
     vertical_edge_id,
 )
-from bunkbed.exact import _bunkbed_layout
+from bunkbed.exact import LEVELS, _bunkbed_layout
 from bunkbed.montecarlo import (
     SHARD_SAMPLES,
     _estimate,
@@ -168,6 +167,22 @@ class TestGoldenTotals:
             six_vertex, "u", "v", Fraction(7, 8), 200_000, seed, SIX_PINNED
         )
         assert got == _from_totals(totals, 200_000, seed)
+
+
+def sample_bunkbed(g, p, seed, pinned=None) -> frozenset:
+    """The open bunkbed edge ids of shard 0's first sample.
+
+    Column j is named after item j of _bunkbed_layout: each edge on
+    level 0 then 1, then the posts unless pinned; pinned posts are open.
+    """
+    ids = [horizontal_edge_id(eid, level) for eid, _, _ in g.edges for level in LEVELS]
+    open_ids = set()
+    if pinned is None:
+        ids += [vertical_edge_id(v) for v in g.vertices]
+    else:
+        open_ids.update(vertical_edge_id(v) for v in pinned)
+    bits = _shard_bits(seed, 0, 1, max(1, len(ids)), _threshold(p))[0]
+    return frozenset(open_ids.union(eid for eid, bit in zip(ids, bits) if bit))
 
 
 class TestSampleConfigurations:
