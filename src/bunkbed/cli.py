@@ -45,12 +45,12 @@ class UsageError(Exception):
     """Bad invocation: wrong flags, unknown vertices, unreadable input."""
 
 
-# Caps field -> flag help.  The flag is the field name with dashes, and
-# its default the field's value in DEFAULT_CAPS.
+# Caps field -> flag help.  The flag is the field name with dashes; its
+# default, which argparse writes into the help, is the DEFAULT_CAPS value.
 _CAP_HELP = {
-    "max_config_bits": "largest 2^k enumeration allowed (default 26)",
-    "max_tripartitions": "largest tripartition count allowed (default 3^16)",
-    "max_updown_bits": "largest up-down assignment width allowed (default 24)",
+    "max_config_bits": "largest 2^k enumeration allowed (default %(default)s)",
+    "max_tripartitions": "largest tripartition count allowed (default %(default)s)",
+    "max_updown_bits": "largest up-down assignment width allowed (default %(default)s)",
 }
 _CONFIG_CAP = ("max_config_bits",)
 

@@ -115,22 +115,17 @@ def _check_updown(k: int, caps: Caps) -> None:
         )
 
 
-def _row(
-    g: Multigraph, rg: Multigraph, projection: dict, u: Vertex, v: Vertex
-) -> tuple[list, dict, tuple]:
-    """Domain of a reduced graph, image bit of each vertex of g, _outcomes ends.
+def _contraction(g: Multigraph, both_open: frozenset) -> tuple[int, dict]:
+    """Vertex count of g with both_open contracted, and vertex -> index in minor's order.
 
-    The domain is the (id, a, b) non-loop edges over vertex indices; bit
-    i of an up/down assignment chooses UP for edge i.  The ends are the
-    _f_parts and _outcomes arguments before the pinned images.
+    Deleting edges keeps the vertices, so one contraction serves a both-open set.
     """
+    rg, projection = minor(g, (), both_open)
     index = {x: r for r, x in enumerate(rg.vertices)}
-    domain = [(eid, index[a], index[b]) for eid, a, b in rg.edges if a != b]
-    images = {w: 1 << index[projection[w]] for w in g.vertices}
-    return domain, images, (len(index), index[projection[u]], index[projection[v]], domain)
+    return len(index), {w: index[projection[w]] for w in g.vertices}
 
 
-def _f_parts(n: int, pu: int, pv: int, domain: list, pinned: Optional[int]):
+def _f_parts(n: int, pu: int, pv: int, domain: tuple, pinned: Optional[int]):
     """Yield the f lanes of the up/down model, 2^min(k, _LANE_BITS) bits a part.
 
     The kernel's items are the k = |domain| edges as up/down choices and,
@@ -141,7 +136,7 @@ def _f_parts(n: int, pu: int, pv: int, domain: list, pinned: Optional[int]):
     D = u1~v0, so f = A + B - C - D.  Parts come in assignment order:
     image set P owns the 2^k bits from P << k on.
     """
-    base, items = _bunkbed_items(n, [(a, b) for _, a, b in domain], pinned, updown=True)
+    base, items = _bunkbed_items(n, domain, pinned, updown=True)
     lanes = min(len(items), enumeration._LANE_BITS)
     u0, u1, v0, v1 = 2 * pu, 2 * pu + 1, 2 * pv, 2 * pv + 1
     width = 1 << min(len(domain), lanes)
@@ -200,7 +195,7 @@ class _Outcome(NamedTuple):
 
 
 def _outcomes(
-    n: int, pu: int, pv: int, domain: list, pinned: Optional[int]
+    n: int, pu: int, pv: int, domain: tuple, pinned: Optional[int]
 ) -> list[_Outcome]:
     """Class, f-sum, factor and checks for every image set of _f_parts.
 
@@ -215,7 +210,7 @@ def _outcomes(
     k = len(domain)
     w = min(k, enumeration._LANE_BITS)
     adjacent = [0] * n
-    for _, a, b in domain:
+    for a, b in domain:
         adjacent[a] |= 1 << b
         adjacent[b] |= 1 << a
     parts = _f_parts(n, pu, pv, domain, pinned)
@@ -240,7 +235,7 @@ def _outcomes(
         if not (side >> pv) & 1:
             cls = DistanceClass.UNREACHABLE
             flip = 0
-            for i, (_, a, b) in enumerate(domain):
+            for i, (a, b) in enumerate(domain):
                 if not ((side >> a) | (side >> b)) & 1:
                     flip |= 1 << i
             negates = _negates(block, flip, w)
@@ -276,35 +271,45 @@ def updown_f_values(
     t = frozenset(t)
     for w in (u, v, *t):
         g.require_vertex(w)
-    domain, images, ends = _row(g, *minor(g, s.none_open, s.both_open), u, v)
+    n, index = _contraction(g, s.both_open)
+    ids = tuple(eid for eid, a, b in g.edges if eid in s.one_open and index[a] != index[b])
+    domain = tuple((index[a], index[b]) for eid, a, b in g.edges if eid in ids)
     _check_updown(len(domain), caps)
     values = [
         ((a >> m) & 1) + ((b >> m) & 1) - ((c >> m) & 1) - ((d >> m) & 1)
-        for a, b, c, d in _f_parts(*ends, _image(images, t))
+        for a, b, c, d in _f_parts(n, index[u], index[v], domain, _image(index, t))
         for m in range(1 << min(len(domain), enumeration._LANE_BITS))
     ]
-    return tuple(eid for eid, _, _ in domain), values
+    return ids, values
 
 
 @dataclass
 class TripartitionTable:
-    """Per-graph cache of tripartitions and their reduced graphs."""
+    """Per-graph cache of tripartitions and their reduced models.
+
+    contractions holds one _contraction per distinct both-open set.  rows[i]
+    is (contraction index, domain) of tripartition i; its domain lists the
+    index pairs of the non-loop one-open edges, in edge order.
+    """
 
     graph: Multigraph
     tripartitions: list
-    reduced: list
-    projections: list
+    contractions: list
+    rows: list
 
     @classmethod
     def build(cls, g: Multigraph, caps: Caps = DEFAULT_CAPS) -> "TripartitionTable":
         tripartitions = list(enumerate_tripartitions(g, caps))
-        reduced = []
-        projections = []
+        contractions, seen, rows = [], {}, []
         for s in tripartitions:
-            rg, projection = minor(g, s.none_open, s.both_open)
-            reduced.append(rg)
-            projections.append(projection)
-        return cls(g, tripartitions, reduced, projections)
+            if s.both_open not in seen:
+                seen[s.both_open] = len(contractions)
+                contractions.append(_contraction(g, s.both_open))
+            c = seen[s.both_open]
+            index = contractions[c][1]
+            rows.append((c, tuple((index[a], index[b]) for eid, a, b in g.edges
+                                  if eid in s.one_open and index[a] != index[b])))
+        return cls(g, tripartitions, contractions, rows)
 
 
 @dataclass
@@ -355,13 +360,13 @@ def _analyses(
 
     A single pinned set gets fixed post lanes; several share one pass
     over every pinned-image set.  Tripartitions with one reduced model
-    (vertex count, endpoint images and domain ends, which are all that
+    (vertex count, endpoint images and domain, which are all that
     _outcomes reads, plus the image of a single set) share its outcome
-    list, so each distinct model is solved once per call.  Tripartitions
-    with one image map share its slot, so a pinned set's image code is
-    computed once per distinct map.  Pinned sets whose outcomes agree,
-    tripartition by tripartition, on all that _analysis reads (the total
-    fixes the factor) share one analysis, folded lazily once per call.
+    list, so each distinct model is solved once per call, and a pinned
+    set's image code is computed once per contraction.  Pinned sets whose
+    outcomes agree, tripartition by tripartition, on all that _analysis
+    reads (the total fixes the factor) share one analysis, folded lazily
+    once per call.
     """
     for w in (u, v, *sets[0]):
         g.require_vertex(w)
@@ -369,40 +374,34 @@ def _analyses(
     # domain, and no reduced graph has more, so this bounds every row.
     _check_updown(sum(a != b for _, a, b in g.edges), caps)
     table = table if table is not None else TripartitionTable.build(g, caps)
-    batched, passes, domains, shared, slots, ids = len(sets) > 1, [], [], {}, {}, {}
-    for rg, projection in zip(table.reduced, table.projections):
-        domain, images, ends = _row(g, rg, projection, u, v)
-        domains.append(domain)
-        fixed = None if batched else _image(images, sets[0])
-        key = (*ends[:3], tuple((a, b) for _, a, b in domain), fixed)
+    batched, passes, shared, ids = len(sets) > 1, [], {}, {}
+    heads = [(n, index[u], index[v]) for n, index in table.contractions]
+    fixed = [None if batched else _image(index, sets[0]) for _, index in table.contractions]
+    for c, domain in table.rows:
+        key = (*heads[c], domain, fixed[c])
         if key not in shared:
-            found = _outcomes(*ends, fixed)
+            found = _outcomes(*key)
             shared[key] = found, [ids.setdefault((out.cls, out.total, out.negative, out.negates),
                                                  len(ids)) for out in found]
-        # images lists g.vertices in order, so its values identify the map
-        slot = slots.setdefault(tuple(images.values()), (len(slots), images))[0]
-        passes.append((slot, *shared[key]))
-    maps, folded = [images for _, images in slots.values()], {}
+        passes.append((c, *shared[key]))
+    folded = {}
     for t in sets:
-        codes = [_image(images, t) if batched else 0 for images in maps]
-        key = tuple([found_ids[codes[slot]] for slot, _, found_ids in passes])
+        codes = [_image(index, t) if batched else 0 for _, index in table.contractions]
+        key = tuple([found_ids[codes[c]] for c, _, found_ids in passes])
         if key not in folded:
-            outcomes = [found[codes[slot]] for slot, found, _ in passes]
-            folded[key] = _analysis(table, domains, outcomes)
+            folded[key] = _analysis(table, [found[codes[c]] for c, found, _ in passes])
         yield folded[key]
 
 
-def _image(images: dict, t: frozenset) -> int:
+def _image(index: dict, t: frozenset) -> int:
     """Bitmask of the reduced vertices that the pinned set projects onto."""
     bits = 0
     for w in t:
-        bits |= images[w]
+        bits |= 1 << index[w]
     return bits
 
 
-def _analysis(
-    table: TripartitionTable, domains: list, outcomes: list[_Outcome]
-) -> TripartitionAnalysis:
+def _analysis(table: TripartitionTable, outcomes: list[_Outcome]) -> TripartitionAnalysis:
     """Fold one outcome per tripartition into masses, factors and failures."""
     bits = 2 * table.graph.edge_count
     class_mass = {cls: [0] * (bits + 1) for cls in DistanceClass}
@@ -412,7 +411,7 @@ def _analysis(
     classes = [out.cls for out in outcomes]
     # an enum member lookup costs more than the rest of a step: do it once
     short, unreachable = DistanceClass.AT_MOST_ONE, DistanceClass.UNREACHABLE
-    for s, domain, out, cls in zip(table.tripartitions, domains, outcomes, classes):
+    for s, (_, domain), out, cls in zip(table.tripartitions, table.rows, outcomes, classes):
         ones = len(s.one_open)
         j = ones + 2 * len(s.both_open)
         class_mass[cls][j] += 1 << ones

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -185,6 +186,28 @@ class TestExitCodes:
             with pytest.raises(SystemExit) as err:
                 run(argv)
             assert err.value.code == 2, argv
+
+    @pytest.mark.parametrize("command, fields", [
+        ("exact", ("max_config_bits",)),
+        ("expand", ("max_config_bits", "max_tripartitions", "max_updown_bits")),
+        ("verify-theorem", ("max_config_bits", "max_tripartitions", "max_updown_bits")),
+        ("line", ()),
+        ("mc", ("max_config_bits",)),
+        ("geodesic-check", ("max_config_bits",)),
+    ])
+    def test_help_shows_each_cap_default(self, capsys, command, fields):
+        # argparse formats help strings only for --help, so this also
+        # catches a stray % in any of them.
+        with pytest.raises(SystemExit) as err:
+            run([command, "--help"])
+        assert err.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert set(re.findall(r"--max-[a-z-]+", text)) == {
+            "--" + field.replace("_", "-") for field in fields}
+        for field in fields:
+            flag = field.replace("_", "-")
+            block = text.split(f"--{flag} {field.upper()} ")[1].split(" --")[0]
+            assert block.endswith(f"(default {getattr(bunkbed.DEFAULT_CAPS, field)})"), block
 
     def test_lambda_outside_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["line", "--n", "1", "--lambda", "2"])

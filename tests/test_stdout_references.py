@@ -7,6 +7,11 @@ on the family graphs and path5 (first vertex to last).  This runs each
 of them through the CLI and compares both, so a change to the kernel,
 the tripartition sweep, the line recursion or the report encoding that
 alters one output byte fails here.  The file is only read.
+
+tests/sweep_references.json does the same, with each call's argv, for
+sweeps the benchmark does not run: verify-theorem and expand on the
+six-vertex graph, and on the triangle with a doubled edge, where two
+both-open sets contract to one partition.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from bunkbed.cli import run
 from conftest import FAMILY_TEXT, SIX_VERTEX_TEXT
 
 REFERENCES = Path(__file__).resolve().parent.parent / "benchmarks" / "references.json"
+SWEEP_REFERENCES = Path(__file__).resolve().parent / "sweep_references.json"
 GRAPHS = {**FAMILY_TEXT, "path5": "a b\nb c\nc d\nd e\ne f"}
 
 
@@ -48,15 +54,15 @@ def references() -> dict:
     return json.loads(REFERENCES.read_text(encoding="utf-8"))
 
 
-def _assert_matches_reference(key, references, tmp_path, monkeypatch, capsys):
+def _assert_run_matches(argv, entry, tmp_path, monkeypatch, capsys):
     for name, text in {**GRAPHS, "six": SIX_VERTEX_TEXT}.items():
         (tmp_path / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
-    code = run(CALLS[key] + ["--workers", "1"])
+    code = run(argv + ["--workers", "1"])
     stdout = capsys.readouterr().out
-    assert code == references[key]["exit"]
-    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == references[key]["sha256"]
+    assert code == entry["exit"]
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == entry["sha256"]
 
 
 def test_every_fixed_input_reference_is_run(references):
@@ -67,10 +73,18 @@ def test_every_fixed_input_reference_is_run(references):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_verify_theorem_stdout_matches_reference(name, references, tmp_path,
                                                  monkeypatch, capsys):
-    _assert_matches_reference(f"theorem-family/{name}", references, tmp_path,
-                              monkeypatch, capsys)
+    key = f"theorem-family/{name}"
+    _assert_run_matches(CALLS[key], references[key], tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("key", ["exact-six", "line-gauss"])
 def test_fixed_input_stdout_matches_reference(key, references, tmp_path, monkeypatch, capsys):
-    _assert_matches_reference(key, references, tmp_path, monkeypatch, capsys)
+    _assert_run_matches(CALLS[key], references[key], tmp_path, monkeypatch, capsys)
+
+
+SWEEPS = json.loads(SWEEP_REFERENCES.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(SWEEPS))
+def test_sweep_stdout_matches_reference(key, tmp_path, monkeypatch, capsys):
+    _assert_run_matches(SWEEPS[key]["argv"], SWEEPS[key], tmp_path, monkeypatch, capsys)

@@ -82,7 +82,10 @@ def reduced_model(g, s, t, u, v) -> ReducedModel:
     t = frozenset(t)
     for w in t:
         g.require_vertex(w)
-    reduced, projection = minor(g, s.none_open, s.both_open)
+    return _minor_model(*minor(g, s.none_open, s.both_open), t, u, v)
+
+
+def _minor_model(reduced, projection, t, u, v) -> ReducedModel:
     return ReducedModel(
         graph=reduced,
         projection=projection,
@@ -90,6 +93,11 @@ def reduced_model(g, s, t, u, v) -> ReducedModel:
         pv=projection[v],
         pinned=frozenset(projection[w] for w in t),
     )
+
+
+def _minors(g, caps=DEFAULT_CAPS) -> list:
+    """(tripartition, minor, projection) for every tripartition, one minor call each."""
+    return [(s, *minor(g, s.none_open, s.both_open)) for s in enumerate_tripartitions(g, caps)]
 
 
 def classify(g, s, t, u, v, *, model=None) -> tuple[DistanceClass, float]:
@@ -123,17 +131,6 @@ def _root(parent, x):
     while parent[x] != x:
         x = parent[x]
     return x
-
-
-def _table_model(table, i, t, u, v) -> ReducedModel:
-    projection = table.projections[i]
-    return ReducedModel(
-        graph=table.reduced[i],
-        projection=projection,
-        pu=projection[u],
-        pv=projection[v],
-        pinned=frozenset(projection[w] for w in t),
-    )
 
 
 def reference_updown_f_values(g, s, t, u, v, *, caps=DEFAULT_CAPS, model=None):
@@ -187,11 +184,9 @@ def _mirror_flip(model, domain) -> int:
     return flip
 
 
-def reference_analyze_tripartitions(g, t, u, v, *, caps=DEFAULT_CAPS, table=None):
-    """The per-pinned-set, per-tripartition loop over the union-find oracle."""
+def reference_analyze_tripartitions(g, t, u, v, minors, *, caps=DEFAULT_CAPS):
+    """The per-pinned-set, per-tripartition loop over the union-find oracle, on _minors(g)."""
     t = frozenset(t)
-    if table is None:
-        table = TripartitionTable.build(g, caps)
     bits = 2 * g.edge_count
     class_counts = {cls: 0 for cls in DistanceClass}
     class_mass = {cls: [0] * (bits + 1) for cls in DistanceClass}
@@ -199,8 +194,8 @@ def reference_analyze_tripartitions(g, t, u, v, *, caps=DEFAULT_CAPS, table=None
     factors, classes = [], []
     min_factor = min_factor_witness = None
     safe, stated, pointwise, mirror = [], [], [], []
-    for i, s in enumerate(table.tripartitions):
-        model = _table_model(table, i, t, u, v)
+    for s, reduced, projection in minors:
+        model = _minor_model(reduced, projection, t, u, v)
         cls, _ = classify(g, s, t, u, v, model=model)
         ones = len(s.one_open)
         j = ones + 2 * len(s.both_open)
@@ -639,9 +634,9 @@ def _lane_graphs():
     return graphs
 
 
-def _oracle_rows(g, u, v, table):
+def _oracle_rows(g, u, v, minors):
     sets = list(_pinned_sets(g))
-    return sets, [reference_analyze_tripartitions(g, t, u, v, table=table) for t in sets]
+    return sets, [reference_analyze_tripartitions(g, t, u, v, minors) for t in sets]
 
 
 @pytest.fixture(scope="module")
@@ -649,9 +644,9 @@ def lane_cases():
     """Oracle analyses of every pair and pinned set of the family and path5."""
     cases = []
     for name, g in _lane_graphs().items():
-        table = TripartitionTable.build(g)
+        table, minors = TripartitionTable.build(g), _minors(g)
         for u, v in itertools.combinations(g.vertices, 2):
-            sets, expected = _oracle_rows(g, u, v, table)
+            sets, expected = _oracle_rows(g, u, v, minors)
             cases.append((name, g, table, u, v, sets, expected))
     return cases
 
@@ -675,10 +670,10 @@ class TestLanePass:
 
     def test_six_vertex_matches_oracle(self):
         g = parse_edge_list(SIX_VERTEX_TEXT)
-        table = TripartitionTable.build(g)
+        table, minors = TripartitionTable.build(g), _minors(g)
         sets = [frozenset(), frozenset({"b", "e"}), frozenset(g.vertices)]
         expected = [
-            reference_analyze_tripartitions(g, t, "u", "v", table=table) for t in sets
+            reference_analyze_tripartitions(g, t, "u", "v", minors) for t in sets
         ]
         for t, analysis in zip(sets, expected):
             assert analyze_tripartitions(g, t, "u", "v", table=table) == analysis
@@ -702,7 +697,7 @@ class TestLanePass:
                              ("triangle_doubled", ("u", "w")), ("chair", ("a", "e"))):
             g = family[name]
             table = TripartitionTable.build(g)
-            sets, expected = _oracle_rows(g, u, v, table)
+            sets, expected = _oracle_rows(g, u, v, _minors(g))
             assert _batched(g, u, v, sets, table) == expected, (name, u, v)
             for t, analysis in zip(sets[::5], expected[::5]):
                 assert analyze_tripartitions(g, t, u, v, table=table) == analysis
@@ -736,11 +731,7 @@ class TestLanePass:
         # bound and a slightly weaker one, and a factor at the safe bound.
         g = family["k2"]
         table = TripartitionTable.build(g)
-        none, one, both = table.tripartitions
-        domains = [
-            bunkbed.tripartitions._row(g, rg, projection, "u", "v")[0]
-            for rg, projection in zip(table.reduced, table.projections)
-        ]
+        none, one, both = enumerate_tripartitions(g)
         def outcome(cls, total, factor, negative):
             return bunkbed.tripartitions._Outcome(
                 cls, total, negative=negative, negates=True, factor=factor
@@ -751,7 +742,7 @@ class TestLanePass:
             outcome(DistanceClass.AT_MOST_ONE, 1, Fraction(2, 5), True),
             outcome(DistanceClass.AT_MOST_ONE, 2, Fraction(1), False),
         ]
-        got = bunkbed.tripartitions._analysis(table, domains, outcomes)
+        got = bunkbed.tripartitions._analysis(table, outcomes)
         assert got.mirror_failures == [none]
         assert got.safe_bound_failures == [one]
         assert got.stated_bound_failures == [one, both]
@@ -763,7 +754,7 @@ class TestLanePass:
             outcome(DistanceClass.AT_MOST_ONE, 2, Fraction(1, 2), False),
             outcome(DistanceClass.AT_MOST_ONE, 2, Fraction(2, 4), False),
         ]
-        got = bunkbed.tripartitions._analysis(table, domains, tied)
+        got = bunkbed.tripartitions._analysis(table, tied)
         assert (got.min_factor, got.min_factor_witness) == (Fraction(1, 2), one)
 
     def test_cap_is_checked_before_any_lane(self, monkeypatch, family):
@@ -819,15 +810,15 @@ class TestLanePass:
         assert verdict == FAIL  # the documented path5 mass-domination failure
 
 
-def _model_keys(table, u, v, t=None):
-    """Distinct reduced up/down models of the table's tripartitions.
+def _model_keys(g, u, v, t=None):
+    """Distinct reduced up/down models of g's tripartitions, one minor each.
 
     A model is the reduced vertex count, the endpoint images and the
     ends of the non-loop edges as vertex ranks; with a pinned set t it
     also holds the image of t.
     """
     keys = set()
-    for rg, projection in zip(table.reduced, table.projections):
+    for _, rg, projection in _minors(g):
         rank = {x: r for r, x in enumerate(rg.vertices)}
         ends = tuple((rank[a], rank[b]) for _, a, b in rg.edges if a != b)
         image = None if t is None else sum({1 << rank[projection[w]] for w in t})
@@ -843,7 +834,7 @@ class TestModelSharing:
         solve = bunkbed.tripartitions._outcomes
 
         def spy(n, pu, pv, domain, pinned):
-            seen.append((n, pu, pv, tuple((a, b) for _, a, b in domain), pinned))
+            seen.append((n, pu, pv, tuple(domain), pinned))
             return solve(n, pu, pv, domain, pinned)
 
         monkeypatch.setattr(bunkbed.tripartitions, "_outcomes", spy)
@@ -856,7 +847,7 @@ class TestModelSharing:
     def test_batched_pass_solves_each_model_once(self, calls, text, u, v, distinct):
         g = parse_edge_list(text)
         table = TripartitionTable.build(g)
-        keys = _model_keys(table, u, v)
+        keys = _model_keys(g, u, v)
         assert (len(keys), len(table.tripartitions)) == (distinct, 3 ** g.edge_count)
         list(_analyses(g, u, v, list(_pinned_sets(g)), DEFAULT_CAPS, table))
         assert len(calls) == len(set(calls)) == distinct
@@ -872,7 +863,7 @@ class TestModelSharing:
             for t in sets:
                 calls.clear()
                 analyze_tripartitions(g, t, u, v, table=table)
-                keys = _model_keys(table, u, v, t)
+                keys = _model_keys(g, u, v, t)
                 assert len(calls) == len(set(calls)) == len(keys), (text, sorted(t))
                 assert set(calls) == keys
 
@@ -965,10 +956,50 @@ class TestLanePassRandom:
     def test_matches_oracle_with_loops_and_parallel_edges(self, case):
         g, u, v = case
         table = TripartitionTable.build(g)
-        sets, expected = _oracle_rows(g, u, v, table)
+        sets, expected = _oracle_rows(g, u, v, _minors(g))
         assert _batched(g, u, v, sets, table) == expected
         for t, analysis in zip(sets, expected):
             assert analyze_tripartitions(g, t, u, v, table=table) == analysis
+
+
+def _assert_rows_match_minors(g):
+    """Each table row against its tripartition's own minor call."""
+    table = TripartitionTable.build(g)
+    assert table.tripartitions == list(enumerate_tripartitions(g))
+    for (s, reduced, projection), (c, domain) in zip(_minors(g), table.rows, strict=True):
+        n, index = table.contractions[c]
+        rank = {x: r for r, x in enumerate(reduced.vertices)}
+        assert n == reduced.vertex_count, s
+        assert index == {w: rank[projection[w]] for w in g.vertices}, s
+        assert domain == tuple((rank[a], rank[b]) for _, a, b in reduced.edges if a != b), s
+
+
+class TestTable:
+    def test_rows_match_a_minor_per_tripartition(self):
+        for g in (*_lane_graphs().values(), parse_edge_list(SIX_VERTEX_TEXT)):
+            _assert_rows_match_minors(g)
+
+    @given(multigraphs_with_loops())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_minors_with_loops_and_parallel_edges(self, case):
+        _assert_rows_match_minors(case[0])
+
+    def test_one_minor_per_both_open_set(self, monkeypatch):
+        contracted = []
+
+        def spy(g, delete, contract):
+            contracted.append(frozenset(contract))
+            return minor(g, delete, contract)
+
+        monkeypatch.setattr(bunkbed.tripartitions, "minor", spy)
+        total = 0
+        for g in (*_lane_graphs().values(), parse_edge_list(SIX_VERTEX_TEXT)):
+            contracted.clear()
+            TripartitionTable.build(g)
+            assert len(contracted) == len(set(contracted)) == 2 ** g.edge_count
+            total += len(contracted)
+        # 186 for one theorem-family pass (the family and path5), 256 for six-vertex
+        assert total == 186 + 256
 
 
 @st.composite
