@@ -45,24 +45,14 @@ class UsageError(Exception):
     """Bad invocation: wrong flags, unknown vertices, unreadable input."""
 
 
-# Caps field -> flag help.  The flag is the field name with dashes; its
-# default, which argparse writes into the help, is the DEFAULT_CAPS value.
-_CAP_HELP = {
-    "max_config_bits": "largest 2^k enumeration allowed (default %(default)s)",
-    "max_tripartitions": "largest tripartition count allowed (default %(default)s)",
-    "max_updown_bits": "largest up-down assignment width allowed (default %(default)s)",
-}
-_CONFIG_CAP = ("max_config_bits",)
-
-
-def _add_common(sp: argparse.ArgumentParser, caps: tuple[str, ...]) -> None:
-    """--workers, --verbose, and the flags of the caps the subcommand reads."""
+def _add_common(sp: argparse.ArgumentParser, capped: bool = True) -> None:
+    """--workers, --verbose, and --max-config-bits if the subcommand enumerates."""
     sp.add_argument("--workers", type=int, default=1,
                     help="mc sampling threads; other subcommands run on one "
                          "(default 1; results do not depend on it)")
-    for name in caps:
-        sp.add_argument("--" + name.replace("_", "-"), type=int,
-                        default=getattr(DEFAULT_CAPS, name), help=_CAP_HELP[name])
+    if capped:
+        sp.add_argument("--max-config-bits", type=int, default=DEFAULT_CAPS.max_config_bits,
+                        help="largest 2^k enumeration allowed (default %(default)s)")
     sp.add_argument("--verbose", action="store_true",
                     help="also print a summary table to stderr")
 
@@ -86,18 +76,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated open posts; empty string for none; "
                          "omit to randomize the vertical edges too")
     sp.add_argument("--out", choices=("json", "csv"), default="json")
-    _add_common(sp, _CONFIG_CAP)
+    _add_common(sp)
 
     sp = sub.add_parser("expand", help="tripartition expansion for one pinned set")
     _add_graph_pair(sp)
     sp.add_argument("--pinned", required=True,
                     help="comma-separated open posts; empty string for none")
-    _add_common(sp, tuple(_CAP_HELP))
+    _add_common(sp)
 
     sp = sub.add_parser("verify-theorem",
                         help="expansion, bounds, and sign over every pinned set")
     _add_graph_pair(sp)
-    _add_common(sp, tuple(_CAP_HELP))
+    _add_common(sp)
 
     sp = sub.add_parser("line", help="closed forms on the two-level path")
     sp.add_argument("--n", type=int, required=True, help="number of path edges")
@@ -107,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="check the pinned low-order series coefficients")
     sp.add_argument("--gap", action="store_true",
                     help="check the closed-form gap between the end quantities")
-    _add_common(sp, ())
+    _add_common(sp, capped=False)
 
     sp = sub.add_parser("mc", help="seeded Monte Carlo difference estimate")
     _add_graph_pair(sp)
@@ -118,21 +108,21 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated open posts; empty string for none")
     sp.add_argument("--k", type=float, default=4.0,
                     help="agreement width in standard errors (default 4)")
-    _add_common(sp, _CONFIG_CAP)
+    _add_common(sp)
 
     sp = sub.add_parser("geodesic-check",
                         help="leading term of the connection polynomial")
     _add_graph_pair(sp)
-    _add_common(sp, _CONFIG_CAP)
+    _add_common(sp)
 
     return parser
 
 
 def _settings(args: argparse.Namespace) -> Caps:
-    """The caps the subcommand registered, each from its flag."""
+    """The caps from --max-config-bits, where the subcommand registered it."""
     if args.workers < 1:  # only mc reads it, but a bad value is an error everywhere
         raise UsageError("--workers must be at least 1")
-    return Caps(**{name: getattr(args, name) for name in _CAP_HELP if hasattr(args, name)})
+    return Caps(getattr(args, "max_config_bits", DEFAULT_CAPS.max_config_bits))
 
 
 def _load_graph(path: str) -> Multigraph:

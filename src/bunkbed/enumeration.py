@@ -39,11 +39,16 @@ from typing import Optional
 
 @dataclass(frozen=True)
 class Caps:
-    """Refusal thresholds for the exhaustive engines."""
+    """The refusal threshold of the exhaustive engines: 2^max_config_bits.
+
+    One exact call over k random items visits 2^k configurations.  A
+    tripartition sweep over |E| edges is bounded by 2^(2|E|): each edge
+    is none-, one- or both-open with weights 1, 2 and 1, so the 3^|E|
+    tripartitions' up/down models have at most sum_s 2^|one_open(s)| =
+    4^|E| assignments.  verify_theorem's batched posts add |V| bits.
+    """
 
     max_config_bits: int = 26
-    max_tripartitions: int = 3 ** 16
-    max_updown_bits: int = 24
 
 
 DEFAULT_CAPS = Caps()
@@ -54,6 +59,14 @@ _LANE_BITS = 16
 
 class CapExceededError(RuntimeError):
     """Requested enumeration exceeds a configured cap."""
+
+
+def _check_cap(bits: int, caps: Caps) -> None:
+    if bits > caps.max_config_bits:
+        raise CapExceededError(
+            f"enumeration needs 2^{bits} configurations; "
+            f"raise max_config_bits to at least {bits} (currently {caps.max_config_bits})"
+        )
 
 
 def _spread(reach: list[int], edges) -> None:

@@ -17,8 +17,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .enumeration import (
     Caps,
     DEFAULT_CAPS,
-    CapExceededError,
     _bunkbed_items,
+    _check_cap,
     _frontier_counts,
     connection_counts,
 )
@@ -72,14 +72,6 @@ def _bunkbed_layout(g: Multigraph, pinned: Optional[Iterable[Vertex]]) -> tuple[
     base_pairs, items = _bunkbed_items(len(rank), edges, pinned)
     index = {(v, level): 2 * r + level for v, r in rank.items() for level in LEVELS}
     return index, base_pairs, items
-
-
-def _check_cap(bits: int, caps: Caps) -> None:
-    if bits > caps.max_config_bits:
-        raise CapExceededError(
-            f"enumeration needs 2^{bits} configurations; "
-            f"raise max_config_bits to at least {bits} (currently {caps.max_config_bits})"
-        )
 
 
 def counts_to_polynomial(counts: Sequence[int], bits: int) -> RationalPoly:

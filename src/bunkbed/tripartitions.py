@@ -23,16 +23,15 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import enumeration
-from .enumeration import Caps, DEFAULT_CAPS, CapExceededError, _bunkbed_items, _item_lanes
+from .enumeration import Caps, DEFAULT_CAPS, _bunkbed_items, _check_cap, _item_lanes
 from .exact import (
-    _check_cap,
     _pinned_differences,
     connected_avoiding,
     counts_to_polynomial,
     difference_polynomial,
     threshold_point,
 )
-from .graphs import Multigraph, Vertex, minor
+from .graphs import Multigraph, Vertex, connected_components, minor
 from .polynomials import RationalPoly
 from .reports import DISCREPANCY, FAIL, PASS, VerificationReport, aggregate_verdict
 
@@ -69,30 +68,21 @@ def validate_tripartition(g: Multigraph, s: Tripartition) -> None:
         raise ValueError("tripartition must partition the edge ids of the graph")
 
 
-def _check_tripartitions(m: int, caps: Caps) -> int:
-    """3^m, the tripartition count of m edges, once it is within the cap."""
-    total = 3 ** m
-    if total > caps.max_tripartitions:
-        raise CapExceededError(
-            f"3^{m} = {total} tripartitions exceed max_tripartitions "
-            f"({caps.max_tripartitions})"
-        )
-    return total
-
-
 def enumerate_tripartitions(
     g: Multigraph, caps: Caps = DEFAULT_CAPS
 ) -> Iterator[Tripartition]:
     """All 3^|E| tripartitions, in ternary counter order over edge ids.
 
-    The cap is checked eagerly; the sequence itself is generated lazily
-    because at the cap it is far too large to materialize.
+    The cap is checked eagerly on 2|E| bits: 3^|E| <= 4^|E|, and 4^|E|
+    is also the sum over s of 2^|one_open(s)|, which bounds the up/down
+    assignments of the whole sweep.  The sequence itself is generated
+    lazily because at the cap it is far too large to materialize.
     """
-    total = _check_tripartitions(g.edge_count, caps)
+    _check_cap(2 * g.edge_count, caps)
     ids = [eid for eid, _, _ in g.edges]
 
     def generate() -> Iterator[Tripartition]:
-        for code in range(total):
+        for code in range(3 ** len(ids)):
             parts: tuple[list, list, list] = ([], [], [])
             c = code
             for eid in ids:
@@ -103,16 +93,6 @@ def enumerate_tripartitions(
             )
 
     return generate()
-
-
-def _check_updown(k: int, caps: Caps) -> None:
-    """Refuse an up/down model over k domain edges past the cap."""
-    if k > caps.max_updown_bits:
-        raise CapExceededError(
-            f"up-down enumeration needs 2^{k} assignments; "
-            f"raise max_updown_bits to at least {k} "
-            f"(currently {caps.max_updown_bits})"
-        )
 
 
 def _contraction(g: Multigraph, both_open: frozenset) -> tuple[int, dict]:
@@ -271,10 +251,13 @@ def updown_f_values(
     t = frozenset(t)
     for w in (u, v, *t):
         g.require_vertex(w)
+    # The domain's width needs only the both-open components: check it before contracting.
+    both = Multigraph(g.vertices, tuple(e for e in g.edges if e[0] in s.both_open))
+    block = {w: i for i, b in enumerate(connected_components(both)) for w in b}
+    _check_cap(sum(block[a] != block[b] for eid, a, b in g.edges if eid in s.one_open), caps)
     n, index = _contraction(g, s.both_open)
     ids = tuple(eid for eid, a, b in g.edges if eid in s.one_open and index[a] != index[b])
     domain = tuple((index[a], index[b]) for eid, a, b in g.edges if eid in ids)
-    _check_updown(len(domain), caps)
     values = [
         ((a >> m) & 1) + ((b >> m) & 1) - ((c >> m) & 1) - ((d >> m) & 1)
         for a, b, c, d in _f_parts(n, index[u], index[v], domain, _image(index, t))
@@ -370,9 +353,7 @@ def _analyses(
     """
     for w in (u, v, *sets[0]):
         g.require_vertex(w)
-    # The all-one-open tripartition keeps every non-loop edge in its
-    # domain, and no reduced graph has more, so this bounds every row.
-    _check_updown(sum(a != b for _, a, b in g.edges), caps)
+    _check_cap(2 * g.edge_count, caps)  # bounds the table and every up/down model (Caps)
     table = table if table is not None else TripartitionTable.build(g, caps)
     batched, passes, shared, ids = len(sets) > 1, [], {}, {}
     heads = [(n, index[u], index[v]) for n, index in table.contractions]
@@ -406,7 +387,7 @@ def _analysis(table: TripartitionTable, outcomes: list[_Outcome]) -> Tripartitio
     bits = 2 * table.graph.edge_count
     class_mass = {cls: [0] * (bits + 1) for cls in DistanceClass}
     expansion = [0] * (bits + 1)
-    witness = lowest = None
+    witness = best_e = best_ones = None
     safe, stated, pointwise, mirror = [], [], [], []
     classes = [out.cls for out in outcomes]
     # an enum member lookup costs more than the rest of a step: do it once
@@ -415,18 +396,18 @@ def _analysis(table: TripartitionTable, outcomes: list[_Outcome]) -> Tripartitio
         ones = len(s.one_open)
         j = ones + 2 * len(s.both_open)
         class_mass[cls][j] += 1 << ones
-        # factor * 2^ones = (total / 2) * 2^(ones - |domain|), an integer:
+        # e = factor * 2^ones = (total / 2) * 2^(ones - |domain|), an integer:
         # the domain is the non-loop part of one_open, and total is even
         # because flipping every edge's level maps a mask to its
         # complement without changing f.
-        expansion[j] += (out.total >> 1) << (ones - len(domain))
+        e = (out.total >> 1) << (ones - len(domain))
+        expansion[j] += e
         if cls is short:
-            if lowest is None or out.factor < lowest:  # the first of least factor
-                witness, lowest = s, out.factor
-            scaled = out.factor.numerator << ones  # factor < c / 2^ones iff scaled < c * den
-            if scaled < out.factor.denominator:
+            if witness is None or e << best_ones < best_e << ones:  # the first of least factor
+                witness, best_e, best_ones = s, e, ones
+            if e < 1:  # factor < 2^-ones
                 safe.append(s)
-            if scaled < 2 * out.factor.denominator:
+            if e < 2:  # factor < 2^(1 - ones)
                 stated.append(s)
             if out.negative:
                 pointwise.append(s)
@@ -440,7 +421,7 @@ def _analysis(table: TripartitionTable, outcomes: list[_Outcome]) -> Tripartitio
         expansion_sum=counts_to_polynomial(expansion, bits),
         factors=[out.factor for out in outcomes],
         classes=classes,
-        min_factor=lowest,
+        min_factor=None if witness is None else Fraction(best_e, 1 << best_ones),
         min_factor_witness=witness,
         safe_bound_failures=safe,
         stated_bound_failures=stated,
@@ -641,22 +622,23 @@ def verify_theorem(
 ) -> tuple[str, list[VerificationReport]]:
     """Run every per-conditioning check over all subsets of the vertices.
 
-    One frontier pass gives every pinned set's difference.  The caps are
-    checked on the total work before anything is built: that pass over
-    2^(2|E| + |V|) configurations, 3^|E| tripartitions, and up/down
-    models over at most the non-loop edges of the graph.  Pinned sets
-    with like outcomes share report fields, built once per call, so one
-    quantities or witnesses dict (and the inputs' graph) may belong to
-    many reports: treat the reports as read-only.
+    One frontier pass gives every pinned set's difference.  The cap is
+    checked on the total work before anything is built: that pass covers
+    2^(2|E| + |V|) configurations, and the batched up/down models, at
+    most 2^|V| post settings times 2^|one_open| assignments for each
+    tripartition, have no more, since 2^|one_open| sums to 4^|E| over
+    the 3^|E| tripartitions.  Pinned sets with like outcomes share
+    report fields, built once per call, so one quantities or witnesses
+    dict (and the inputs' graph) may belong to many reports: treat the
+    reports as read-only.
     """
     n = g.vertex_count
     _check_cap(2 * g.edge_count + n, caps)
-    _check_tripartitions(g.edge_count, caps)
     sets = [
         frozenset(g.vertices[i] for i in range(n) if (code >> i) & 1)
         for code in range(1 << n)
     ]
-    # The lazy kernel pass starts after the first analysis checks the vertices and caps.
+    # The lazy kernel pass starts after the first analysis checks the vertices and cap.
     rows = zip(sets, _analyses(g, u, v, sets, caps), _pinned_differences(g, u, v))
     reports = _reports(g, u, v, rows)
     return aggregate_verdict(r.verdict for r in reports), reports

@@ -179,9 +179,14 @@ class TestExitCodes:
         pair = ["--graph", k2_file, "--u", "u", "--v", "v"]
         for argv in (
             ["exact", "--u", "u", "--v", "v"],
-            # a cap flag is registered only where the subcommand reads it
+            # the cap flag is registered only where the subcommand reads it
             ["line", "--n", "3", "--max-config-bits", "4"],
+            # --max-config-bits is the one cap; the other two flags are gone
             ["exact", *pair, "--max-tripartitions", "5"],
+            ["expand", *pair, "--pinned", "", "--max-tripartitions", "5"],
+            ["expand", *pair, "--pinned", "", "--max-updown-bits", "5"],
+            ["verify-theorem", *pair, "--max-tripartitions", "5"],
+            ["verify-theorem", *pair, "--max-updown-bits", "5"],
         ):
             with pytest.raises(SystemExit) as err:
                 run(argv)
@@ -189,8 +194,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, fields", [
         ("exact", ("max_config_bits",)),
-        ("expand", ("max_config_bits", "max_tripartitions", "max_updown_bits")),
-        ("verify-theorem", ("max_config_bits", "max_tripartitions", "max_updown_bits")),
+        ("expand", ("max_config_bits",)),
+        ("verify-theorem", ("max_config_bits",)),
         ("line", ()),
         ("mc", ("max_config_bits",)),
         ("geodesic-check", ("max_config_bits",)),

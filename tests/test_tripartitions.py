@@ -41,6 +41,7 @@ from bunkbed import (
     verify_theorem,
     vertical_free_distance,
 )
+import bunkbed.cli
 import bunkbed.enumeration
 import bunkbed.exact
 import bunkbed.tripartitions
@@ -122,7 +123,7 @@ def _updown_arena(model, caps):
         a, b = index[(v, 0)], index[(v, 1)]
         parent[b] = a
     domain = [(eid, a, b) for eid, a, b in g.edges if a != b]
-    if len(domain) > caps.max_updown_bits:
+    if len(domain) > caps.max_config_bits:
         raise CapExceededError(f"up-down enumeration needs 2^{len(domain)} assignments")
     return index, parent, domain
 
@@ -287,8 +288,10 @@ class TestEnumeration:
             seen.add(key)
 
     def test_cap(self, family):
-        with pytest.raises(CapExceededError):
-            enumerate_tripartitions(family["path2"], Caps(max_tripartitions=8))
+        # 3^2 tripartitions, within 2^(2|E|) = 2^4; refused at the call, before any is built.
+        with pytest.raises(CapExceededError, match="at least 4 "):
+            enumerate_tripartitions(family["path2"], Caps(max_config_bits=3))
+        assert len(list(enumerate_tripartitions(family["path2"], Caps(max_config_bits=4)))) == 9
 
     def test_validate_rejects_overlap(self, k2):
         bad = Tripartition(
@@ -382,8 +385,16 @@ class TestFactors:
             one_open=frozenset(g.edge_ids),
             both_open=frozenset(),
         )
-        with pytest.raises(CapExceededError):
-            updown_f_values(g, all_one, frozenset(), "a", "c", caps=Caps(max_updown_bits=3))
+        with pytest.raises(CapExceededError, match="at least 4 "):
+            updown_f_values(g, all_one, frozenset(), "a", "c", caps=Caps(max_config_bits=3))
+        # The cap counts the domain: contracting edge 0 makes the parallel
+        # edge 1 a loop, so three one-open edges give a domain of two.
+        g = family["triangle_doubled"]
+        s = Tripartition(frozenset(), frozenset({1, 2, 3}), frozenset({0}))
+        with pytest.raises(CapExceededError, match="at least 2 "):
+            updown_f_values(g, s, frozenset(), "u", "w", caps=Caps(max_config_bits=1))
+        ids, values = updown_f_values(g, s, frozenset(), "u", "w", caps=Caps(max_config_bits=2))
+        assert (ids, len(values)) == ((2, 3), 4)
 
 
 class TestClassify:
@@ -727,35 +738,47 @@ class TestLanePass:
 
     def test_fold_applies_each_failure_rule(self, family):
         # Outcomes no real input produces, one per rule of the fold: a
-        # nonzero total with a negating flip, a factor between the safe
-        # bound and a slightly weaker one, and a factor at the safe bound.
+        # nonzero total with a negating flip, a factor below the safe
+        # bound with some f < 0, and a factor at the safe bound but below
+        # the stated one.  Each factor is total / 2^(|domain| + 1).
         g = family["k2"]
         table = TripartitionTable.build(g)
         none, one, both = enumerate_tripartitions(g)
-        def outcome(cls, total, factor, negative):
-            return bunkbed.tripartitions._Outcome(
-                cls, total, negative=negative, negates=True, factor=factor
-            )
+        # k2's one-open tripartition has one domain edge, the others none.
+        domains = {none: 0, one: 1, both: 0}
+
+        def outcome(s, cls, total, negative):
+            return bunkbed.tripartitions._Outcome(cls, total, negative=negative, negates=True,
+                                                  factor=Fraction(total, 2 << domains[s]))
 
         outcomes = [
-            outcome(DistanceClass.UNREACHABLE, 2, Fraction(1), False),
-            outcome(DistanceClass.AT_MOST_ONE, 1, Fraction(2, 5), True),
-            outcome(DistanceClass.AT_MOST_ONE, 2, Fraction(1), False),
+            outcome(none, DistanceClass.UNREACHABLE, 2, False),
+            outcome(one, DistanceClass.AT_MOST_ONE, 0, True),
+            outcome(both, DistanceClass.AT_MOST_ONE, 2, False),
         ]
         got = bunkbed.tripartitions._analysis(table, outcomes)
         assert got.mirror_failures == [none]
         assert got.safe_bound_failures == [one]
         assert got.stated_bound_failures == [one, both]
         assert got.pointwise_failures == [one]
-        assert (got.min_factor, got.min_factor_witness) == (Fraction(2, 5), one)
-        # Two short tripartitions tie for the least factor: the first wins.
+        assert (got.min_factor, got.min_factor_witness) == (Fraction(0), one)
+        # Two short tripartitions tie for the least factor, 4/4 and 2/2: the first wins.
         tied = [
             outcomes[0],
-            outcome(DistanceClass.AT_MOST_ONE, 2, Fraction(1, 2), False),
-            outcome(DistanceClass.AT_MOST_ONE, 2, Fraction(2, 4), False),
+            outcome(one, DistanceClass.AT_MOST_ONE, 4, False),
+            outcome(both, DistanceClass.AT_MOST_ONE, 2, False),
         ]
         got = bunkbed.tripartitions._analysis(table, tied)
-        assert (got.min_factor, got.min_factor_witness) == (Fraction(1, 2), one)
+        assert (got.min_factor, got.min_factor_witness) == (Fraction(1), one)
+        assert got.stated_bound_failures == [both]
+        # Factors compare across one-open sizes: -6/2 < -8/4, though
+        # factor * 2^|one_open| is -3 against -4.
+        got = bunkbed.tripartitions._analysis(table, [
+            outcomes[0],
+            outcome(one, DistanceClass.AT_MOST_ONE, -8, False),
+            outcome(both, DistanceClass.AT_MOST_ONE, -6, False),
+        ])
+        assert (got.min_factor, got.min_factor_witness) == (Fraction(-3), both)
 
     def test_cap_is_checked_before_any_lane(self, monkeypatch, family):
         def no_lanes(*args, **kwargs):
@@ -765,16 +788,16 @@ class TestLanePass:
         monkeypatch.setattr(bunkbed.enumeration, "_lane_reach", no_lanes)
         monkeypatch.setattr(bunkbed.enumeration, "_spread", no_lanes)
         g = family["cycle4"]
-        caps = Caps(max_updown_bits=3)
-        # Tripartitions with at most three one-open edges come first in
-        # counter order, so every cap is checked before the first lane.
-        with pytest.raises(CapExceededError, match="max_updown_bits"):
-            analyze_tripartitions(g, frozenset(), "a", "c", caps=caps)
-        with pytest.raises(CapExceededError, match="max_updown_bits"):
-            verify_theorem(g, "a", "c", caps=caps)
+        # Each entry's cap one below its need: 2|E| = 8 bits for a single
+        # pinned set's sweep, 2|E| + |V| = 12 for the theorem, and the
+        # all-one-open model's four domain edges.
+        with pytest.raises(CapExceededError, match="at least 8 "):
+            analyze_tripartitions(g, frozenset(), "a", "c", caps=Caps(max_config_bits=7))
+        with pytest.raises(CapExceededError, match="at least 12 "):
+            verify_theorem(g, "a", "c", caps=Caps(max_config_bits=11))
         all_one = Tripartition(frozenset(), frozenset(g.edge_ids), frozenset())
-        with pytest.raises(CapExceededError, match="max_updown_bits"):
-            updown_f_values(g, all_one, frozenset(), "a", "c", caps=caps)
+        with pytest.raises(CapExceededError, match="at least 4 "):
+            updown_f_values(g, all_one, frozenset(), "a", "c", caps=Caps(max_config_bits=3))
 
     def test_theorem_total_work_is_checked_before_building(self, monkeypatch, family):
         def no_build(*args, **kwargs):
@@ -785,28 +808,29 @@ class TestLanePass:
         g = family["path4"]
         # 2^5 pinned sets of 2^8 configurations each: 13 bits of kernel
         # work, though each single enumeration fits in 10.
-        with pytest.raises(CapExceededError, match="max_config_bits"):
+        with pytest.raises(CapExceededError, match="at least 13 "):
             verify_theorem(g, "a", "e", caps=Caps(max_config_bits=10))
-        with pytest.raises(CapExceededError, match="max_tripartitions"):
-            verify_theorem(g, "a", "e", caps=Caps(max_tripartitions=3 ** 4 - 1))
 
     def test_updown_cap_names_enough_before_building(self, monkeypatch):
-        # The widest up/down model is the all-one-open tripartition's, on
-        # every non-loop edge; the refusal must name that width, before
-        # any minor or table is built.
+        # The up/down models of a sweep assign at most 4^|E| masks in
+        # all, 2^|V| times that when the posts are batched, so the one cap
+        # bounds them: the refusal names 2|E| = 10 bits for a single set
+        # and 2|E| + |V| = 16 for the theorem, before any minor or table.
         def no_build(*args, **kwargs):
-            raise AssertionError("a minor was built before the up/down cap was checked")
+            raise AssertionError("a minor was built before the cap was checked")
 
         g = parse_edge_list(PATH5_TEXT)
         with monkeypatch.context() as patch:
             patch.setattr(bunkbed.tripartitions, "minor", no_build)
             patch.setattr(TripartitionTable, "build", no_build)
-            for caps in (Caps(max_updown_bits=3), Caps(max_updown_bits=4)):
-                with pytest.raises(CapExceededError, match="at least 5 "):
+            for caps in (Caps(max_config_bits=5), Caps(max_config_bits=9)):
+                with pytest.raises(CapExceededError, match="at least 16 "):
                     verify_theorem(g, "a", "f", caps=caps)
-                with pytest.raises(CapExceededError, match="at least 5 "):
+                with pytest.raises(CapExceededError, match="at least 10 "):
                     analyze_tripartitions(g, frozenset(), "a", "f", caps=caps)
-        verdict, _ = verify_theorem(g, "a", "f", caps=Caps(max_updown_bits=5))
+            with pytest.raises(CapExceededError, match="at least 16 "):
+                verify_theorem(g, "a", "f", caps=Caps(max_config_bits=15))
+        verdict, _ = verify_theorem(g, "a", "f", caps=Caps(max_config_bits=16))
         assert verdict == FAIL  # the documented path5 mass-domination failure
 
 
@@ -1000,6 +1024,66 @@ class TestTable:
             total += len(contracted)
         # 186 for one theorem-family pass (the family and path5), 256 for six-vertex
         assert total == 186 + 256
+
+
+def _assert_sweep_work_within_cap_bits(g):
+    """The sweep's work against the bits that the cap is checked on.
+
+    Weights 2^|one_open| of the tripartitions sum to 4^|E|; the table's
+    up/down models assign no more masks, and with the posts of each
+    reduced vertex batched no more than 2^(2|E| + |V|).
+    """
+    m, n = g.edge_count, g.vertex_count
+    assert sum(1 << len(s.one_open) for s in enumerate_tripartitions(g)) == 4 ** m
+    table = TripartitionTable.build(g)
+    assert sum(1 << len(domain) for _, domain in table.rows) <= 4 ** m
+    assert sum(1 << (len(domain) + table.contractions[c][0])
+               for c, domain in table.rows) <= 1 << (2 * m + n)
+
+
+class TestCapBound:
+    @pytest.mark.parametrize("text", [FAMILY_TEXT["path4"], PATH5_TEXT], ids=["path4", "path5"])
+    def test_every_entry_refuses_before_building(self, monkeypatch, capsys, tmp_path, text):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built before the cap was checked")
+
+        for module, name in ((bunkbed.tripartitions, "minor"),
+                             (bunkbed.tripartitions, "enumerate_tripartitions"),
+                             (bunkbed.tripartitions, "_item_lanes"),
+                             (bunkbed.enumeration, "_item_lanes"),
+                             (bunkbed.enumeration, "_frontier_counts"),
+                             (bunkbed.exact, "_frontier_counts")):
+            monkeypatch.setattr(module, name, no_build)
+        g = parse_edge_list(text)
+        u, v, sweep = g.vertices[0], g.vertices[-1], 2 * g.edge_count
+        below = lambda bits: Caps(max_config_bits=bits - 1)
+        for entry in (verify_conditioning, expansion_identity_check, bound_report):
+            with pytest.raises(CapExceededError, match=f"at least {sweep} "):
+                entry(g, frozenset(), u, v, caps=below(sweep))
+        with pytest.raises(CapExceededError, match=f"at least {sweep} "):
+            analyze_tripartitions(g, frozenset(), u, v, caps=below(sweep))
+        theorem = sweep + g.vertex_count
+        with pytest.raises(CapExceededError, match=f"at least {theorem} "):
+            verify_theorem(g, u, v, caps=below(theorem))
+        all_one = Tripartition(frozenset(), frozenset(g.edge_ids), frozenset())
+        with pytest.raises(CapExceededError, match=f"at least {g.edge_count} "):
+            updown_f_values(g, all_one, frozenset(), u, v, caps=below(g.edge_count))
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        code = bunkbed.cli.run(["expand", "--graph", str(path), "--u", u, "--v", v,
+                                "--pinned", "", "--max-config-bits", str(sweep - 1)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), err
+        assert f"at least {sweep} " in err
+
+    def test_sweep_work_within_cap_bits(self):
+        for g in (*_lane_graphs().values(), parse_edge_list(SIX_VERTEX_TEXT)):
+            _assert_sweep_work_within_cap_bits(g)
+
+    @given(multigraphs_with_loops())
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_work_within_cap_bits_with_loops_and_parallel_edges(self, case):
+        _assert_sweep_work_within_cap_bits(case[0])
 
 
 @st.composite
