@@ -26,8 +26,8 @@ The up/down model of tripartitions and the Monte Carlo shards spread
 reachability on bit lanes instead (_lane_reach, _spread): bit x of a
 lane stands for one configuration, and reach spreads as
 (reach[a] | reach[b]) & lane until a sweep changes nothing.  The up/down
-model's first _LANE_BITS items share a lane and each prefix shard fixes
-the others.
+model keeps its whole domain and the posts up to _LANE_BITS items on one
+lane, and each prefix shard fixes the posts past them.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-# Items enumerated inside one lane; a lane is a 2^16-bit (8 KB) integer.
+# Up/down items enumerated inside one lane, 2^16 bits (8 KB), unless the
+# domain alone is wider: a domain is never split across lanes.
 _LANE_BITS = 16
 
 
@@ -90,14 +91,16 @@ def _spread(reach: list[int], edges) -> None:
 @cache
 def _item_lanes(lanes: int) -> tuple[int, ...]:
     """Lane i has bit x set iff bit i of x is 1, for x < 2^lanes."""
-    full = (1 << (1 << lanes)) - 1
     out = []
     for i in range(lanes):
         half = 1 << i
-        # full // (2^(2 half) - 1) has one bit at the start of every
-        # period of 2 half bits; the block fills that period's upper half.
-        block = ((1 << half) - 1) << half
-        out.append(full // ((1 << 2 * half) - 1) * block)
+        # One period of 2 half bits, ones in its upper half, doubled up to
+        # 2^lanes bits: linear in the lane, where dividing is quadratic.
+        lane, width = ((1 << half) - 1) << half, 2 * half
+        while width < 1 << lanes:
+            lane |= lane << width
+            width *= 2
+        out.append(lane)
     return tuple(out)
 
 

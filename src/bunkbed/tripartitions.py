@@ -31,7 +31,7 @@ from .exact import (
     difference_polynomial,
     threshold_point,
 )
-from .graphs import Multigraph, Vertex, connected_components, minor
+from .graphs import Multigraph, Vertex, connected_components
 from .polynomials import RationalPoly
 from .reports import DISCREPANCY, FAIL, PASS, VerificationReport, aggregate_verdict
 
@@ -96,30 +96,32 @@ def enumerate_tripartitions(
 
 
 def _contraction(g: Multigraph, both_open: frozenset) -> tuple[int, dict]:
-    """Vertex count of g with both_open contracted, and vertex -> index in minor's order.
+    """Vertex count of g with both_open contracted, and vertex -> its block's number.
 
-    Deleting edges keeps the vertices, so one contraction serves a both-open set.
+    One component pass over the both-open edges; blocks are numbered in
+    the vertex order of graphs.minor.  Deleting edges keeps the vertices,
+    so one contraction serves a both-open set.
     """
-    rg, projection = minor(g, (), both_open)
-    index = {x: r for r, x in enumerate(rg.vertices)}
-    return len(index), {w: index[projection[w]] for w in g.vertices}
+    both = Multigraph(g.vertices, tuple(e for e in g.edges if e[0] in both_open))
+    blocks = connected_components(both)
+    return len(blocks), {w: i for i, block in enumerate(blocks) for w in block}
 
 
 def _f_parts(n: int, pu: int, pv: int, domain: tuple, pinned: Optional[int]):
-    """Yield the f lanes of the up/down model, 2^min(k, _LANE_BITS) bits a part.
+    """Yield the f lanes of the up/down model, one 2^k-bit part per image set.
 
     The kernel's items are the k = |domain| edges as up/down choices and,
-    if pinned is None, the n posts after them.  The first L = min(items,
-    _LANE_BITS) items are the bits of one lane; each prefix shard fixes
-    the others, adding the copies they choose as base pairs.  Spreads
-    from both copies of u give A = u0~v0, B = u1~v1, C = u0~v1,
-    D = u1~v0, so f = A + B - C - D.  Parts come in assignment order:
-    image set P owns the 2^k bits from P << k on.
+    if pinned is None, the n posts after them.  The first L = max(k,
+    min(items, _LANE_BITS)) items are the bits of one lane, so a domain
+    is never split; each prefix shard fixes the posts past them, adding
+    the copies they choose as base pairs.  Spreads from both copies of u
+    give A = u0~v0, B = u1~v1, C = u0~v1, D = u1~v0, so f = A + B - C - D.
+    Parts come in image-set order, bit x of a part the assignment x.
     """
     base, items = _bunkbed_items(n, domain, pinned, updown=True)
-    lanes = min(len(items), enumeration._LANE_BITS)
+    lanes = max(len(domain), min(len(items), enumeration._LANE_BITS))
     u0, u1, v0, v1 = 2 * pu, 2 * pu + 1, 2 * pv, 2 * pv + 1
-    width = 1 << min(len(domain), lanes)
+    width = 1 << len(domain)
     mask = (1 << width) - 1
     for prefix in range(1 << (len(items) - lanes)):
         fixed = [pair for i, item in enumerate(items[lanes:])
@@ -142,26 +144,21 @@ def _below(a: int, b: int, c: int, d: int) -> int:
     return c & d & ~(a & b) | (c ^ d) & ~(a ^ b) & ~(c & d ^ a & b)
 
 
-def _negates(parts: list, flip: int, w: int) -> bool:
-    """f(x ^ flip) == -f(x) at every assignment x of one block.
+def _negates(part: tuple, flip: int, k: int) -> bool:
+    """f(x ^ flip) == -f(x) at every assignment x < 2^k of one part.
 
-    Parts have 2^w bits.  The low w bits of flip permute within a part,
-    each flipped bit swapping sub-blocks; the high bits pair up parts.
+    Each set bit i of flip swaps the halves of every 2^(i+1)-bit period.
     """
-    if all(a ^ b == c ^ d and a & b == c & d for a, b, c, d in parts):
+    a, b, c, d = part
+    if a ^ b == c ^ d and a & b == c & d:
         return True  # f is zero at every x, so every flip negates it
-    items = _item_lanes(w)
-    low, high = flip & ((1 << w) - 1), flip >> w
-    for h, (a, b, c, d) in enumerate(parts):
-        mirror = []
-        for x in parts[h ^ high]:
-            for i, ones in enumerate(items):
-                if (low >> i) & 1:
-                    x = (x & ones) >> (1 << i) | (x << (1 << i)) & ones
-            mirror.append(x)
-        if _sum4(a, b, *mirror[:2]) != _sum4(c, d, *mirror[2:]):
-            return False
-    return True
+    mirror = []
+    for x in part:
+        for i, ones in enumerate(_item_lanes(k)):
+            if (flip >> i) & 1:
+                x = (x & ones) >> (1 << i) | (x << (1 << i)) & ones
+        mirror.append(x)
+    return _sum4(a, b, *mirror[:2]) == _sum4(c, d, *mirror[2:])
 
 
 class _Outcome(NamedTuple):
@@ -188,16 +185,13 @@ def _outcomes(
     u image's pinned-free side: the mirroring involution.
     """
     k = len(domain)
-    w = min(k, enumeration._LANE_BITS)
     adjacent = [0] * n
     for a, b in domain:
         adjacent[a] |= 1 << b
         adjacent[b] |= 1 << a
-    parts = _f_parts(n, pu, pv, domain, pinned)
     out: list[_Outcome] = []
     seen: dict = {}  # many image sets share one outcome; build it once
-    # 2^(k - w) consecutive parts make up the block of one image set
-    for code, block in enumerate(zip(*[parts] * (1 << (k - w)))):
+    for code, part in enumerate(_f_parts(n, pu, pv, domain, pinned)):
         blocked = code if pinned is None else pinned
         side = grown = 0 if (blocked >> pu) & 1 else 1 << pu
         while grown:
@@ -208,9 +202,8 @@ def _outcomes(
                 near |= adjacent[low.bit_length() - 1]
                 grown ^= low
             grown = near & ~(side | blocked)
-        total = 0
-        for a, b, c, d in block:
-            total += a.bit_count() + b.bit_count() - c.bit_count() - d.bit_count()
+        total = (part[0].bit_count() + part[1].bit_count()
+                 - part[2].bit_count() - part[3].bit_count())
         negative, negates = False, True
         if not (side >> pv) & 1:
             cls = DistanceClass.UNREACHABLE
@@ -218,10 +211,10 @@ def _outcomes(
             for i, (a, b) in enumerate(domain):
                 if not ((side >> a) | (side >> b)) & 1:
                     flip |= 1 << i
-            negates = _negates(block, flip, w)
+            negates = _negates(part, flip, k)
         elif pu == pv or (adjacent[pu] >> pv) & 1:
             cls = DistanceClass.AT_MOST_ONE
-            negative = any(_below(*part) for part in block)
+            negative = _below(*part) != 0
         else:
             cls = DistanceClass.AT_LEAST_TWO
         key = (cls, total, negative, negates)
@@ -251,19 +244,14 @@ def updown_f_values(
     t = frozenset(t)
     for w in (u, v, *t):
         g.require_vertex(w)
-    # The domain's width needs only the both-open components: check it before contracting.
-    both = Multigraph(g.vertices, tuple(e for e in g.edges if e[0] in s.both_open))
-    block = {w: i for i, b in enumerate(connected_components(both)) for w in b}
-    _check_cap(sum(block[a] != block[b] for eid, a, b in g.edges if eid in s.one_open), caps)
     n, index = _contraction(g, s.both_open)
     ids = tuple(eid for eid, a, b in g.edges if eid in s.one_open and index[a] != index[b])
+    _check_cap(len(ids), caps)
     domain = tuple((index[a], index[b]) for eid, a, b in g.edges if eid in ids)
-    values = [
-        ((a >> m) & 1) + ((b >> m) & 1) - ((c >> m) & 1) - ((d >> m) & 1)
-        for a, b, c, d in _f_parts(n, index[u], index[v], domain, _image(index, t))
-        for m in range(1 << min(len(domain), enumeration._LANE_BITS))
-    ]
-    return ids, values
+    (part,) = _f_parts(n, index[u], index[v], domain, _image(index, t))
+    # Each lane decoded once, bit m as the ASCII digit at m; the four 48s cancel.
+    a, b, c, d = (format(x, f"0{1 << len(ids)}b")[::-1].encode() for x in part)
+    return ids, [p + q - r - z for p, q, r, z in zip(a, b, c, d)]
 
 
 @dataclass

@@ -157,6 +157,21 @@ def _weight_masks(lanes: int) -> list[int]:
     return masks
 
 
+def reference_item_lanes(lanes: int) -> tuple[int, ...]:
+    """The item lanes by division, as the library built them before doubling.
+
+    full // (2^(2 half) - 1) has one bit at the start of every period of
+    2 half bits; the block fills that period's upper half.
+    """
+    full = (1 << (1 << lanes)) - 1
+    out = []
+    for i in range(lanes):
+        half = 1 << i
+        block = ((1 << half) - 1) << half
+        out.append(full // ((1 << 2 * half) - 1) * block)
+    return tuple(out)
+
+
 def reference_counts_lanes(num_vertices, base_pairs, items, queries):
     """Bit-sliced counter over prefix shards, as the up/down model runs them.
 
@@ -294,6 +309,20 @@ class TestShardBoundaries:
             calls.clear()
             assert connection_counts(*args) == expected
             assert calls == [k + 1], k
+
+
+class TestItemLanes:
+    def test_lane_i_holds_the_configurations_with_bit_i(self):
+        for lanes in range(11):
+            got = enumeration._item_lanes(lanes)
+            assert len(got) == lanes
+            for i, lane in enumerate(got):
+                assert lane < 1 << (1 << lanes)
+                assert all((lane >> x) & 1 == (x >> i) & 1 for x in range(1 << lanes))
+
+    def test_matches_division_oracle(self):
+        for lanes in range(15):
+            assert enumeration._item_lanes(lanes) == reference_item_lanes(lanes)
 
 
 class TestEdgeCases:

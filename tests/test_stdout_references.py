@@ -11,7 +11,9 @@ alters one output byte fails here.  The file is only read.
 tests/sweep_references.json does the same, with each call's argv, for
 sweeps the benchmark does not run: verify-theorem and expand on the
 six-vertex graph, and on the triangle with a doubled edge, where two
-both-open sets contract to one partition.
+both-open sets contract to one partition; and verify-theorem on path9,
+whose 17 up/down items are more than one lane holds, so its posts past
+the first 16 items are fixed per prefix shard.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from conftest import FAMILY_TEXT, SIX_VERTEX_TEXT
 REFERENCES = Path(__file__).resolve().parent.parent / "benchmarks" / "references.json"
 SWEEP_REFERENCES = Path(__file__).resolve().parent / "sweep_references.json"
 GRAPHS = {**FAMILY_TEXT, "path5": "a b\nb c\nc d\nd e\ne f"}
+PATH9_TEXT = "\n".join(f"{a} {b}" for a, b in zip("abcdefgh", "bcdefghi"))
 
 
 def _first_last(text: str) -> tuple[str, str]:
@@ -55,7 +58,7 @@ def references() -> dict:
 
 
 def _assert_run_matches(argv, entry, tmp_path, monkeypatch, capsys):
-    for name, text in {**GRAPHS, "six": SIX_VERTEX_TEXT}.items():
+    for name, text in {**GRAPHS, "six": SIX_VERTEX_TEXT, "path9": PATH9_TEXT}.items():
         (tmp_path / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()

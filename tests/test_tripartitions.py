@@ -50,6 +50,8 @@ from bunkbed.tripartitions import (
     TripartitionAnalysis,
     _analyses,
     _below,
+    _contraction,
+    _f_parts,
     _negates,
 )
 from conftest import FAMILY_TEXT, SIX_VERTEX_TEXT
@@ -701,8 +703,8 @@ class TestLanePass:
 
     @pytest.mark.parametrize("lane_bits", [1, 2, 3])
     def test_narrow_lanes_spill_into_outer_blocks(self, monkeypatch, family, lane_bits):
-        # Domain and post bits past the lane width are fixed per outer
-        # block; flip bits past it pair up parts of one block.
+        # Posts past the lane width are fixed per outer block; a domain
+        # wider than it widens the lane instead, so flips stay in a part.
         monkeypatch.setattr(bunkbed.enumeration, "_LANE_BITS", lane_bits)
         for name, (u, v) in (("path4", ("a", "e")), ("path4", ("b", "d")),
                              ("triangle_doubled", ("u", "w")), ("chair", ("a", "e"))):
@@ -716,6 +718,19 @@ class TestLanePass:
                 t = frozenset({g.vertices[2]})
                 got = updown_f_values(g, s, t, u, v)
                 assert got == reference_updown_f_values(g, s, t, u, v), (name, s)
+
+    def test_one_part_per_image_set_at_any_lane_width(self, monkeypatch):
+        # k = 3 domain edges and n = 3 randomized posts: the 2^3 image sets
+        # each get one 8-bit part, however narrow the lane, and its f
+        # values are the full-width lane's.
+        domain, ends = ((0, 1), (1, 2), (0, 2)), ((0, 2), (1, 1))
+        wide = [list(_f_parts(3, pu, pv, domain, None)) for pu, pv in ends]
+        monkeypatch.setattr(bunkbed.enumeration, "_LANE_BITS", 1)
+        for (pu, pv), full in zip(ends, wide, strict=True):
+            narrow = list(_f_parts(3, pu, pv, domain, None))
+            assert len(narrow) == 8
+            assert all(x < 1 << 8 for part in narrow for x in part)
+            assert _decoded(narrow, 3) == _decoded(full, 3)
 
     def test_lane_checks_reach_the_analysis(self, monkeypatch, family):
         # The pointwise and mirror checks never fail on real inputs, so
@@ -804,7 +819,7 @@ class TestLanePass:
             raise AssertionError("tripartitions were built before the caps were checked")
 
         monkeypatch.setattr(bunkbed.tripartitions, "enumerate_tripartitions", no_build)
-        monkeypatch.setattr(bunkbed.tripartitions, "minor", no_build)
+        monkeypatch.setattr(bunkbed.tripartitions, "_contraction", no_build)
         g = family["path4"]
         # 2^5 pinned sets of 2^8 configurations each: 13 bits of kernel
         # work, though each single enumeration fits in 10.
@@ -815,13 +830,13 @@ class TestLanePass:
         # The up/down models of a sweep assign at most 4^|E| masks in
         # all, 2^|V| times that when the posts are batched, so the one cap
         # bounds them: the refusal names 2|E| = 10 bits for a single set
-        # and 2|E| + |V| = 16 for the theorem, before any minor or table.
+        # and 2|E| + |V| = 16 for the theorem, before any contraction or table.
         def no_build(*args, **kwargs):
-            raise AssertionError("a minor was built before the cap was checked")
+            raise AssertionError("a contraction was built before the cap was checked")
 
         g = parse_edge_list(PATH5_TEXT)
         with monkeypatch.context() as patch:
-            patch.setattr(bunkbed.tripartitions, "minor", no_build)
+            patch.setattr(bunkbed.tripartitions, "_contraction", no_build)
             patch.setattr(TripartitionTable, "build", no_build)
             for caps in (Caps(max_config_bits=5), Caps(max_config_bits=9)):
                 with pytest.raises(CapExceededError, match="at least 16 "):
@@ -1011,11 +1026,11 @@ class TestTable:
     def test_one_minor_per_both_open_set(self, monkeypatch):
         contracted = []
 
-        def spy(g, delete, contract):
-            contracted.append(frozenset(contract))
-            return minor(g, delete, contract)
+        def spy(g, both_open):
+            contracted.append(both_open)
+            return _contraction(g, both_open)
 
-        monkeypatch.setattr(bunkbed.tripartitions, "minor", spy)
+        monkeypatch.setattr(bunkbed.tripartitions, "_contraction", spy)
         total = 0
         for g in (*_lane_graphs().values(), parse_edge_list(SIX_VERTEX_TEXT)):
             contracted.clear()
@@ -1047,8 +1062,7 @@ class TestCapBound:
         def no_build(*args, **kwargs):
             raise AssertionError("built before the cap was checked")
 
-        for module, name in ((bunkbed.tripartitions, "minor"),
-                             (bunkbed.tripartitions, "enumerate_tripartitions"),
+        for module, name in ((bunkbed.tripartitions, "enumerate_tripartitions"),
                              (bunkbed.tripartitions, "_item_lanes"),
                              (bunkbed.enumeration, "_item_lanes"),
                              (bunkbed.enumeration, "_frontier_counts"),
@@ -1057,6 +1071,12 @@ class TestCapBound:
         g = parse_edge_list(text)
         u, v, sweep = g.vertices[0], g.vertices[-1], 2 * g.edge_count
         below = lambda bits: Caps(max_config_bits=bits - 1)
+        # updown_f_values measures its domain with the contraction, so it
+        # refuses before any lane; the sweeps refuse before contracting.
+        all_one = Tripartition(frozenset(), frozenset(g.edge_ids), frozenset())
+        with pytest.raises(CapExceededError, match=f"at least {g.edge_count} "):
+            updown_f_values(g, all_one, frozenset(), u, v, caps=below(g.edge_count))
+        monkeypatch.setattr(bunkbed.tripartitions, "_contraction", no_build)
         for entry in (verify_conditioning, expansion_identity_check, bound_report):
             with pytest.raises(CapExceededError, match=f"at least {sweep} "):
                 entry(g, frozenset(), u, v, caps=below(sweep))
@@ -1065,9 +1085,6 @@ class TestCapBound:
         theorem = sweep + g.vertex_count
         with pytest.raises(CapExceededError, match=f"at least {theorem} "):
             verify_theorem(g, u, v, caps=below(theorem))
-        all_one = Tripartition(frozenset(), frozenset(g.edge_ids), frozenset())
-        with pytest.raises(CapExceededError, match=f"at least {g.edge_count} "):
-            updown_f_values(g, all_one, frozenset(), u, v, caps=below(g.edge_count))
         path = tmp_path / "g.txt"
         path.write_text(text)
         code = bunkbed.cli.run(["expand", "--graph", str(path), "--u", u, "--v", v,
@@ -1088,20 +1105,18 @@ class TestCapBound:
 
 @st.composite
 def lane_blocks(draw):
-    """Random f lanes of one block: parts of 2^w bits, a flip over the block."""
-    w = draw(st.integers(min_value=0, max_value=3))
-    spill = draw(st.integers(min_value=0, max_value=2))
-    lane = st.integers(min_value=0, max_value=(1 << (1 << w)) - 1)
-    parts = draw(st.lists(st.tuples(lane, lane, lane, lane),
-                          min_size=1 << spill, max_size=1 << spill))
-    flip = draw(st.integers(min_value=0, max_value=(1 << (w + spill)) - 1))
-    return w, parts, flip
+    """Random f lanes of one image set: a part of 2^k bits, a flip over it."""
+    k = draw(st.integers(min_value=0, max_value=5))
+    lane = st.integers(min_value=0, max_value=(1 << (1 << k)) - 1)
+    part = draw(st.tuples(lane, lane, lane, lane))
+    flip = draw(st.integers(min_value=0, max_value=(1 << k) - 1))
+    return k, part, flip
 
 
-def _decoded(parts, w):
+def _decoded(parts, k):
     f = []
     for a, b, c, d in parts:
-        for m in range(1 << w):
+        for m in range(1 << k):
             f.append(((a >> m) & 1) + ((b >> m) & 1) - ((c >> m) & 1) - ((d >> m) & 1))
     return f
 
@@ -1110,31 +1125,31 @@ class TestLaneArithmetic:
     @given(lane_blocks())
     @settings(max_examples=300, deadline=None)
     def test_below_marks_negative_f(self, case):
-        w, parts, _ = case
-        for part, values in zip(parts, zip(*[iter(_decoded(parts, w))] * (1 << w))):
-            below = _below(*part)
-            assert [(below >> m) & 1 == 1 for m in range(1 << w)] == [f < 0 for f in values]
+        k, part, _ = case
+        below = _below(*part)
+        assert ([(below >> m) & 1 == 1 for m in range(1 << k)]
+                == [f < 0 for f in _decoded([part], k)])
 
     @given(lane_blocks())
     @settings(max_examples=300, deadline=None)
     def test_negates_matches_decoded_masks(self, case):
-        w, parts, flip = case
-        f = _decoded(parts, w)
+        k, part, flip = case
+        f = _decoded([part], k)
         expected = all(f[x ^ flip] == -f[x] for x in range(len(f)))
-        assert _negates(parts, flip, w) == expected
+        assert _negates(part, flip, k) == expected
 
     def test_negates_holds_on_mirrored_lanes(self):
-        # A block built so that the flip swaps (A, B) with (C, D).
-        w, flip = 2, 0b101
+        # A part built so that the flip swaps (A, B) with (C, D).
+        k, flip = 3, 0b101
         f = [0, 1, -2, 2, -1, 0, 2, -2]
         f = [f[x] if x < x ^ flip else -f[x ^ flip] for x in range(8)]
-        lanes = [[0, 0, 0, 0], [0, 0, 0, 0]]
+        lanes = [0, 0, 0, 0]
         for x, value in enumerate(f):
             bits = {2: (1, 1, 0, 0), 1: (1, 0, 0, 0), 0: (0, 0, 0, 0),
                     -1: (0, 0, 1, 0), -2: (0, 0, 1, 1)}[value]
             for lane, bit in enumerate(bits):
-                lanes[x >> w][lane] |= bit << (x & 3)
-        parts = [tuple(part) for part in lanes]
-        assert _decoded(parts, w) == f
-        assert _negates(parts, flip, w)
-        assert not _negates(parts, flip ^ 0b10, w)
+                lanes[lane] |= bit << x
+        part = tuple(lanes)
+        assert _decoded([part], k) == f
+        assert _negates(part, flip, k)
+        assert not _negates(part, flip ^ 0b10, k)
