@@ -37,12 +37,10 @@ from .graphs import (
 from .line import (
     GaussianLimitResult,
     LineQuantities,
-    gap_check,
     gap_polynomial,
     gaussian_limit,
     iter_line_quantities,
     line_quantities,
-    series_check,
 )
 from .montecarlo import (
     DifferenceEstimates,

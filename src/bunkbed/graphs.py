@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Hashable, Iterable, Mapping
 
 INFINITY = math.inf
 
@@ -100,22 +100,13 @@ def parse_edge_list(text: str) -> Multigraph:
     return Multigraph(tuple(vertices), tuple(edges))
 
 
-def connected_components(
-    g: Multigraph, allowed: Optional[Iterable[Vertex]] = None
-) -> tuple[frozenset, ...]:
-    """Partition of the allowed vertices into components.
+def connected_components(g: Multigraph) -> tuple[frozenset, ...]:
+    """Partition of the vertices into components.
 
-    Only edges with both endpoints allowed are used.  Blocks are ordered
-    by first mention of their earliest vertex.
+    Blocks are ordered by first mention of their earliest vertex.
     """
-    if allowed is None:
-        allow = set(g.vertices)
-    else:
-        allow = set(allowed)
-        for v in allow:
-            g.require_vertex(v)
     blocks: list[frozenset] = []
-    unseen = {v for v in g.vertices if v in allow}
+    unseen = set(g.vertices)
     for start in g.vertices:
         if start not in unseen:
             continue

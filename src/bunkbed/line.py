@@ -113,13 +113,11 @@ def line_quantities(n: int) -> LineQuantities:
     return _quantities(n, *next(islice(_line_recursion(*_POLY_POINT), n, None)))
 
 
-def gap_check(n: int) -> bool:
-    """The reconstruction gap agrees with the only-one recursion difference."""
-    return gap_holds(line_quantities(n), gap_polynomial(n))
-
-
 def gap_holds(lq: LineQuantities, gap: RationalPoly) -> bool:
-    """gap_check on already computed quantities and gap."""
+    """The reconstruction gap agrees with the only-one recursion difference.
+
+    For the path with n edges, call it on line_quantities(n) and gap_polynomial(n).
+    """
     return (
         lq.to_bottom - lq.to_top == gap
         and lq.to_bottom_only - lq.to_top_only == gap
@@ -141,17 +139,12 @@ def _series_table(n: int) -> dict[str, list[Fraction]]:
     }
 
 
-def series_check(n: int) -> VerificationReport:
-    """Compare computed low-order coefficients against the pinned table.
-
-    The table is exact only up to order n, so for n < 5 the comparison
-    stops at order n and the verdict is PARTIAL.
-    """
-    return series_report(line_quantities(n))
-
-
 def series_report(lq: LineQuantities) -> VerificationReport:
-    """series_check on already computed quantities."""
+    """Compare the computed low-order coefficients of lq against the pinned table.
+
+    The table is exact only up to order n = lq.n, so for n < 5 the
+    comparison stops at order n and the verdict is PARTIAL.
+    """
     n = lq.n
     table = _series_table(n)
     limit = min(5, n)

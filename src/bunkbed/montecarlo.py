@@ -65,8 +65,6 @@ def _shard_bits(seed: int, shard: int, count: int, columns: int, threshold: int)
     raws = np.random.Philox(key=key).random_raw(count * columns)
     if threshold >= 1 << 64:
         open_bits = np.ones(count * columns, dtype=bool)
-    elif threshold <= 0:
-        open_bits = np.zeros(count * columns, dtype=bool)
     else:
         open_bits = raws < np.uint64(threshold)
     return open_bits.reshape(count, columns)

@@ -57,24 +57,16 @@ def encode_value(value, memo: dict | None = None):
         if id(value) not in memo:  # holding d keeps its id from being reused
             memo[id(value)] = value, {str(k): encode_value(v, memo) for k, v in value.items()}
         return memo[id(value)][1]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
     if isinstance(value, float):
         if math.isinf(value):
             return "INFINITY"
         return value
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, Decimal):
         return str(value)
     if hasattr(value, "to_json_obj"):
         return encode_value(value.to_json_obj())
-    if isinstance(value, dict):
-        return {str(k): encode_value(v) for k, v in value.items()}
     if isinstance(value, (frozenset, set)):
         return sorted((encode_value(v) for v in value), key=repr)
-    if isinstance(value, (list, tuple)):
-        return [encode_value(v) for v in value]
     raise TypeError(f"cannot encode {type(value).__name__} into a report")
 
 

@@ -71,7 +71,7 @@ def validate_tripartition(g: Multigraph, s: Tripartition) -> None:
 def enumerate_tripartitions(
     g: Multigraph, caps: Caps = DEFAULT_CAPS
 ) -> Iterator[Tripartition]:
-    """All 3^|E| tripartitions, in ternary counter order over edge ids.
+    """All 3^|E| tripartitions, in ternary counter order: _tripartition of each code.
 
     The cap is checked eagerly on 2|E| bits: 3^|E| <= 4^|E|, and 4^|E|
     is also the sum over s of 2^|one_open(s)|, which bounds the up/down
@@ -79,20 +79,16 @@ def enumerate_tripartitions(
     lazily because at the cap it is far too large to materialize.
     """
     _check_cap(2 * g.edge_count, caps)
-    ids = [eid for eid, _, _ in g.edges]
+    return (_tripartition(g, code) for code in range(3 ** g.edge_count))
 
-    def generate() -> Iterator[Tripartition]:
-        for code in range(3 ** len(ids)):
-            parts: tuple[list, list, list] = ([], [], [])
-            c = code
-            for eid in ids:
-                parts[c % 3].append(eid)
-                c //= 3
-            yield Tripartition(
-                frozenset(parts[0]), frozenset(parts[1]), frozenset(parts[2])
-            )
 
-    return generate()
+def _tripartition(g: Multigraph, code: int) -> Tripartition:
+    """Tripartition number code: ternary digit i, lowest first, counts edge i's open copies."""
+    parts: tuple[list, list, list] = ([], [], [])
+    for eid, _, _ in g.edges:
+        code, digit = divmod(code, 3)
+        parts[digit].append(eid)
+    return Tripartition(*map(frozenset, parts))
 
 
 def _contraction(g: Multigraph, both_open: frozenset) -> tuple[int, dict]:
@@ -256,31 +252,43 @@ def updown_f_values(
 
 @dataclass
 class TripartitionTable:
-    """Per-graph cache of tripartitions and their reduced models.
+    """Per-graph cache of every tripartition's reduced model, by ternary code.
 
-    contractions holds one _contraction per distinct both-open set.  rows[i]
-    is (contraction index, domain) of tripartition i; its domain lists the
-    index pairs of the non-loop one-open edges, in edge order.
+    Row c is the tripartition _tripartition(graph, c), so tripartitions is
+    range(3^|E|).  contractions[mask] is the _contraction of the both-open
+    set whose edge i is in it iff bit i of mask is set.  rows[c] is (mask,
+    domain, |one_open|, j), with j = |one_open| + 2 |both_open| and the
+    domain the sorted index pairs (a < b) of the non-loop one-open edges:
+    the up/down model depends on neither edge order nor orientation.
     """
 
     graph: Multigraph
-    tripartitions: list
+    tripartitions: range
     contractions: list
     rows: list
 
     @classmethod
     def build(cls, g: Multigraph, caps: Caps = DEFAULT_CAPS) -> "TripartitionTable":
-        tripartitions = list(enumerate_tripartitions(g, caps))
-        contractions, seen, rows = [], {}, []
-        for s in tripartitions:
-            if s.both_open not in seen:
-                seen[s.both_open] = len(contractions)
-                contractions.append(_contraction(g, s.both_open))
-            c = seen[s.both_open]
-            index = contractions[c][1]
-            rows.append((c, tuple((index[a], index[b]) for eid, a, b in g.edges
-                                  if eid in s.one_open and index[a] != index[b])))
-        return cls(g, tripartitions, contractions, rows)
+        _check_cap(2 * g.edge_count, caps)
+        m = g.edge_count
+        contractions = [
+            _contraction(g, frozenset(e[0] for i, e in enumerate(g.edges) if mask >> i & 1))
+            for mask in range(1 << m)
+        ]
+        # per contraction, each edge's block pair, lower first, or None for a loop
+        pairs = [[(x, y) if x < y else (y, x) if y < x else None
+                  for x, y in ((index[a], index[b]) for _, a, b in g.edges)]
+                 for _, index in contractions]
+        # the both-open mask and the one-open edge positions of every code, in counter order
+        both, one = [0], [()]
+        for i in range(m):
+            both = both + both + [x | 1 << i for x in both]
+            one = one + [x + (i,) for x in one] + one
+        rows = []
+        for mask, ids in zip(both, one):
+            domain = tuple(sorted(filter(None, map(pairs[mask].__getitem__, ids))))
+            rows.append((mask, domain, len(ids), len(ids) + 2 * mask.bit_count()))
+        return cls(g, range(3 ** m), contractions, rows)
 
 
 @dataclass
@@ -346,13 +354,13 @@ def _analyses(
     batched, passes, shared, ids = len(sets) > 1, [], {}, {}
     heads = [(n, index[u], index[v]) for n, index in table.contractions]
     fixed = [None if batched else _image(index, sets[0]) for _, index in table.contractions]
-    for c, domain in table.rows:
-        key = (*heads[c], domain, fixed[c])
+    for mask, domain, _, _ in table.rows:
+        key = (*heads[mask], domain, fixed[mask])
         if key not in shared:
             found = _outcomes(*key)
             shared[key] = found, [ids.setdefault((out.cls, out.total, out.negative, out.negates),
                                                  len(ids)) for out in found]
-        passes.append((c, *shared[key]))
+        passes.append((mask, *shared[key]))
     folded = {}
     for t in sets:
         codes = [_image(index, t) if batched else 0 for _, index in table.contractions]
@@ -371,8 +379,13 @@ def _image(index: dict, t: frozenset) -> int:
 
 
 def _analysis(table: TripartitionTable, outcomes: list[_Outcome]) -> TripartitionAnalysis:
-    """Fold one outcome per tripartition into masses, factors and failures."""
-    bits = 2 * table.graph.edge_count
+    """Fold one outcome per tripartition into masses, factors and failures.
+
+    The fold keeps tripartitions as codes; only the witnesses it reports
+    are decoded.
+    """
+    g = table.graph
+    bits = 2 * g.edge_count
     class_mass = {cls: [0] * (bits + 1) for cls in DistanceClass}
     expansion = [0] * (bits + 1)
     witness = best_e = best_ones = None
@@ -380,9 +393,8 @@ def _analysis(table: TripartitionTable, outcomes: list[_Outcome]) -> Tripartitio
     classes = [out.cls for out in outcomes]
     # an enum member lookup costs more than the rest of a step: do it once
     short, unreachable = DistanceClass.AT_MOST_ONE, DistanceClass.UNREACHABLE
-    for s, (_, domain), out, cls in zip(table.tripartitions, table.rows, outcomes, classes):
-        ones = len(s.one_open)
-        j = ones + 2 * len(s.both_open)
+    for code, (_, domain, ones, j), out, cls in zip(table.tripartitions, table.rows, outcomes,
+                                                    classes):
         class_mass[cls][j] += 1 << ones
         # e = factor * 2^ones = (total / 2) * 2^(ones - |domain|), an integer:
         # the domain is the non-loop part of one_open, and total is even
@@ -392,15 +404,17 @@ def _analysis(table: TripartitionTable, outcomes: list[_Outcome]) -> Tripartitio
         expansion[j] += e
         if cls is short:
             if witness is None or e << best_ones < best_e << ones:  # the first of least factor
-                witness, best_e, best_ones = s, e, ones
+                witness, best_e, best_ones = code, e, ones
             if e < 1:  # factor < 2^-ones
-                safe.append(s)
+                safe.append(code)
             if e < 2:  # factor < 2^(1 - ones)
-                stated.append(s)
+                stated.append(code)
             if out.negative:
-                pointwise.append(s)
+                pointwise.append(code)
         elif cls is unreachable and (out.total or not out.negates):
-            mirror.append(s)
+            mirror.append(code)
+    safe, stated, pointwise, mirror = ([_tripartition(g, code) for code in codes]
+                                       for codes in (safe, stated, pointwise, mirror))
     return TripartitionAnalysis(
         class_counts={cls.value: classes.count(cls) for cls in DistanceClass},
         class_mass={
@@ -410,7 +424,7 @@ def _analysis(table: TripartitionTable, outcomes: list[_Outcome]) -> Tripartitio
         factors=[out.factor for out in outcomes],
         classes=classes,
         min_factor=None if witness is None else Fraction(best_e, 1 << best_ones),
-        min_factor_witness=witness,
+        min_factor_witness=None if witness is None else _tripartition(g, witness),
         safe_bound_failures=safe,
         stated_bound_failures=stated,
         pointwise_failures=pointwise,
@@ -460,9 +474,6 @@ def _bound_body(
     domination = mass_far <= bound
     domination_strict = mass_short == 0 or mass_far < bound
     domination_sharp = mass_far <= bound / 2
-    if mass_short == 0:
-        # No short tripartitions at all forces the far class to vanish too.
-        domination = domination and mass_far == 0
 
     floor = (p0 * (1 - p0)) ** m
     floor_ok = (not connected) or value >= floor

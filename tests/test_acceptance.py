@@ -37,15 +37,15 @@ from bunkbed import (
     connection_query_polynomials,
     difference_polynomial,
     encode_value,
-    gap_check,
+    gap_polynomial,
     gaussian_limit,
     geodesic_check,
     line_quantities,
     parse_edge_list,
-    series_check,
     threshold_point,
 )
 from bunkbed.cli import run as cli_run
+from bunkbed.line import gap_holds, series_report
 
 from conftest import (
     FAMILY_TEXT, SIX_VERTEX_TEXT, family_graphs, path_graph, reparam_by_binomial,
@@ -102,7 +102,7 @@ def sweep():
 
 def test_criterion_01_gap_identity():
     started = time.monotonic()
-    failures = [n for n in range(7) if not gap_check(n)]
+    failures = [n for n in range(7) if not gap_holds(line_quantities(n), gap_polynomial(n))]
     mismatched = []
     for n in range(5):
         lq = line_quantities(n)
@@ -216,7 +216,7 @@ def test_criterion_06_theorem_sign(sweep):
 
 
 def test_criterion_07_series():
-    bad = [n for n in (5, 8, 12) if series_check(n).verdict != PASS]
+    bad = [n for n in (5, 8, 12) if series_report(line_quantities(n)).verdict != PASS]
     ok = not bad
     announce(7, "series coefficients", ok)
     assert not bad, f"series mismatch at n in {bad}"

@@ -63,11 +63,6 @@ class TestComponents:
         comps = connected_components(g)
         assert comps == (frozenset({"a", "b"}), frozenset({"c", "d"}))
 
-    def test_allowed_restriction(self):
-        g = parse_edge_list("a b\nb c")
-        comps = connected_components(g, allowed=frozenset({"a", "c"}))
-        assert comps == (frozenset({"a"}), frozenset({"c"}))
-
     def test_isolated_vertex_direct_construction(self):
         # The edge-list format cannot express isolated vertices, so the
         # constructor is exercised directly.

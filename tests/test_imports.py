@@ -11,6 +11,11 @@ imports are exempt.
 Every name the benchmark tracer patches must also exist in the package:
 the tracer skips a missing name and its layer silently reads 0.
 
+Every public name must be reached from the library itself: a name in
+bunkbed.__all__ that no other module of src/bunkbed refers to (as an
+AST Name or Attribute) fails, unless UNREACHED names it with a reason.
+Code only tests call belongs in tests/.
+
 No test may assert a bare is_* attribute, such as `assert poly.is_zero`:
 that is a bound method, always true, so the assertion can never fail.
 """
@@ -23,6 +28,8 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
+
+import bunkbed
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "bunkbed"
 MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
@@ -100,6 +107,42 @@ def test_every_tracer_target_resolves():
         except (ImportError, AttributeError):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+# Public names no library module refers to, each with why it stays public.
+UNREACHED = {
+    "bound_report": "single-report entry, named in the README",
+    "expansion_identity_check": "single-report entry, named in the README",
+    "theorem_sign_check": "single-report entry, named in the README",
+    "enumerate_tripartitions": "names the Tripartition that updown_f_values takes",
+    "iter_line_quantities": "walks n <= 64 at linear cost for the tests",
+    "minor": "traced by the benchmark until the contraction span replaces it",
+    "updown_f_values": "traced by the benchmark until the _outcomes span replaces it",
+}
+
+
+def referenced_names(paths) -> set[str]:
+    """Every Name id and Attribute attr that the given modules load."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_reached():
+    unreached = set(bunkbed.__all__) - referenced_names(MODULES)
+    assert sorted(unreached - UNREACHED.keys()) == []
+    assert sorted(UNREACHED.keys() - unreached) == []  # no stale allowance
+
+
+def test_unreached_name_is_caught(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def f(): pass\ndef g(): return f()\nx = obj.h\nobj.k = 1\n")
+    assert {"f", "g", "h", "k", "x"} - referenced_names([path]) == {"g", "k", "x"}
 
 
 def uncalled_predicates(tree: ast.Module) -> list[str]:

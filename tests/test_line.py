@@ -20,14 +20,12 @@ from bunkbed import (
     VAR_Q,
     bunkbed_vertex,
     connection_query_polynomials,
-    gap_check,
     gap_polynomial,
     gaussian_limit,
     iter_line_quantities,
     line_quantities,
-    series_check,
 )
-from bunkbed.line import LineQuantities, _exact_point, gap_holds
+from bunkbed.line import LineQuantities, _exact_point, gap_holds, series_report
 from conftest import path_graph, reparam_by_binomial
 
 qpoly = lambda coeffs: RationalPoly(coeffs, VAR_Q)
@@ -154,7 +152,7 @@ class TestInternalIdentities:
 class TestGapCheck:
     @pytest.mark.parametrize("n", range(7))
     def test_holds(self, n):
-        assert gap_check(n) is True
+        assert gap_holds(line_quantities(n), gap_polynomial(n)) is True
 
     def test_gap_holds_rejects_wrong_quantities(self):
         lq = line_quantities(6)
@@ -197,10 +195,10 @@ class TestEnumerationAgreement:
 class TestSeries:
     def test_known_orders_pass(self):
         for n in (5, 8, 12):
-            assert series_check(n).verdict == PASS
+            assert series_report(line_quantities(n)).verdict == PASS
 
     def test_small_n_is_partial(self):
-        assert series_check(3).verdict == PARTIAL
+        assert series_report(line_quantities(3)).verdict == PARTIAL
 
     def test_frozen_coefficients_n5(self):
         lq = line_quantities(5)

@@ -367,10 +367,9 @@ class TestFactors:
         # Flipping every edge's level maps a mask to its complement and
         # keeps f, so the integer expansion may halve the sum exactly.
         for name, g in family.items():
-            table = TripartitionTable.build(g)
             x, y = g.vertices[0], g.vertices[-1]
             for t in _pinned_sets(g):
-                for s in table.tripartitions:
+                for s in enumerate_tripartitions(g):
                     _, values = updown_f_values(g, s, t, x, y)
                     assert sum(values) % 2 == 0, (name, t, s)
 
@@ -485,8 +484,13 @@ class TestBoundReport:
         assert any(s.one_open == frozenset({0}) for s in witnesses)
 
     def test_k2_pinned_case_passes(self, k2):
+        # Both endpoints pinned: no short mass and no far mass, so domination
+        # holds against a bound of zero.
         report = bound_report(k2, frozenset({"u", "v"}), "u", "v")
         assert report.verdict == PASS
+        assert report.quantities["short_mass_at_p0"] == 0
+        assert report.quantities["far_mass_at_p0"] == 0
+        assert report.quantities["mass_domination"] is True
 
     def test_mass_domination_falsified_on_path_ends(self, family):
         # Four-edge path, endpoints, no open posts: the far-class mass
@@ -714,7 +718,7 @@ class TestLanePass:
             assert _batched(g, u, v, sets, table) == expected, (name, u, v)
             for t, analysis in zip(sets[::5], expected[::5]):
                 assert analyze_tripartitions(g, t, u, v, table=table) == analysis
-            for s in table.tripartitions:
+            for s in enumerate_tripartitions(g):
                 t = frozenset({g.vertices[2]})
                 got = updown_f_values(g, s, t, u, v)
                 assert got == reference_updown_f_values(g, s, t, u, v), (name, s)
@@ -818,7 +822,7 @@ class TestLanePass:
         def no_build(*args, **kwargs):
             raise AssertionError("tripartitions were built before the caps were checked")
 
-        monkeypatch.setattr(bunkbed.tripartitions, "enumerate_tripartitions", no_build)
+        monkeypatch.setattr(TripartitionTable, "build", no_build)
         monkeypatch.setattr(bunkbed.tripartitions, "_contraction", no_build)
         g = family["path4"]
         # 2^5 pinned sets of 2^8 configurations each: 13 bits of kernel
@@ -849,17 +853,23 @@ class TestLanePass:
         assert verdict == FAIL  # the documented path5 mass-domination failure
 
 
+def _sorted_pairs(rank, edges) -> tuple:
+    """The non-loop edges as vertex-rank pairs, lower rank first, in sorted order."""
+    return tuple(sorted(tuple(sorted((rank[a], rank[b]))) for _, a, b in edges if a != b))
+
+
 def _model_keys(g, u, v, t=None):
     """Distinct reduced up/down models of g's tripartitions, one minor each.
 
     A model is the reduced vertex count, the endpoint images and the
-    ends of the non-loop edges as vertex ranks; with a pinned set t it
-    also holds the image of t.
+    sorted pairs of the non-loop edges (neither edge order nor
+    orientation changes the model); with a pinned set t it also holds
+    the image of t.
     """
     keys = set()
     for _, rg, projection in _minors(g):
         rank = {x: r for r, x in enumerate(rg.vertices)}
-        ends = tuple((rank[a], rank[b]) for _, a, b in rg.edges if a != b)
+        ends = _sorted_pairs(rank, rg.edges)
         image = None if t is None else sum({1 << rank[projection[w]] for w in t})
         keys.add((len(rank), rank[projection[u]], rank[projection[v]], ends, image))
     return keys
@@ -881,7 +891,7 @@ class TestModelSharing:
 
     @pytest.mark.parametrize("text, u, v, distinct", [
         (PATH5_TEXT, "a", "f", 63),
-        (SIX_VERTEX_TEXT, "u", "v", 1675),
+        (SIX_VERTEX_TEXT, "u", "v", 1085),
     ])
     def test_batched_pass_solves_each_model_once(self, calls, text, u, v, distinct):
         g = parse_edge_list(text)
@@ -1001,16 +1011,34 @@ class TestLanePassRandom:
             assert analyze_tripartitions(g, t, u, v, table=table) == analysis
 
 
+def reference_tripartitions(g):
+    """The tripartition generator the library ran while the table held one per row."""
+    ids = [eid for eid, _, _ in g.edges]
+    for code in range(3 ** len(ids)):
+        parts = ([], [], [])
+        c = code
+        for eid in ids:
+            parts[c % 3].append(eid)
+            c //= 3
+        yield Tripartition(frozenset(parts[0]), frozenset(parts[1]), frozenset(parts[2]))
+
+
 def _assert_rows_match_minors(g):
-    """Each table row against its tripartition's own minor call."""
+    """Each table row, a ternary code, against its tripartition's own minor call."""
     table = TripartitionTable.build(g)
-    assert table.tripartitions == list(enumerate_tripartitions(g))
-    for (s, reduced, projection), (c, domain) in zip(_minors(g), table.rows, strict=True):
-        n, index = table.contractions[c]
+    assert table.tripartitions == range(3 ** g.edge_count)
+    assert len(table.contractions) == 2 ** g.edge_count
+    assert list(enumerate_tripartitions(g)) == list(reference_tripartitions(g))
+    bit = {eid: 1 << i for i, (eid, _, _) in enumerate(g.edges)}
+    for (s, reduced, projection), (mask, domain, ones, j) in zip(_minors(g), table.rows,
+                                                                 strict=True):
+        assert mask == sum(bit[eid] for eid in s.both_open), s
+        n, index = table.contractions[mask]
         rank = {x: r for r, x in enumerate(reduced.vertices)}
         assert n == reduced.vertex_count, s
         assert index == {w: rank[projection[w]] for w in g.vertices}, s
-        assert domain == tuple((rank[a], rank[b]) for _, a, b in reduced.edges if a != b), s
+        assert domain == _sorted_pairs(rank, reduced.edges), s
+        assert (ones, j) == (len(s.one_open), len(s.one_open) + 2 * len(s.both_open)), s
 
 
 class TestTable:
@@ -1040,6 +1068,38 @@ class TestTable:
         # 186 for one theorem-family pass (the family and path5), 256 for six-vertex
         assert total == 186 + 256
 
+    def test_only_witnesses_become_tripartitions(self, monkeypatch, family):
+        # Rows are codes: the build makes no Tripartition, and a fold decodes
+        # only the witnesses it reports.  The second pass forces the lane
+        # checks to fail, so that the pointwise and mirror lists fill too.
+        built = []
+
+        def spy(*parts):
+            built.append(Tripartition(*parts))
+            return built[-1]
+
+        monkeypatch.setattr(bunkbed.tripartitions, "Tripartition", spy)
+        for forced in (False, True):
+            with monkeypatch.context() as patch:
+                if forced:
+                    patch.setattr(bunkbed.tripartitions, "_below", lambda *part: 1)
+                    patch.setattr(bunkbed.tripartitions, "_negates", lambda *args: False)
+                for name in ("k2", "path2", "path4", "triangle_doubled"):
+                    g = family[name]
+                    built.clear()
+                    table = TripartitionTable.build(g)
+                    assert built == [], name
+                    for t in _pinned_sets(g):
+                        built.clear()
+                        a = analyze_tripartitions(g, t, g.vertices[0], g.vertices[-1],
+                                                  table=table)
+                        witnesses = (a.safe_bound_failures + a.stated_bound_failures
+                                     + a.pointwise_failures + a.mirror_failures)
+                        if a.min_factor_witness is not None:
+                            witnesses.append(a.min_factor_witness)
+                        assert sorted(map(id, built)) == sorted(map(id, witnesses)), (name, t)
+                        assert witnesses or not forced
+
 
 def _assert_sweep_work_within_cap_bits(g):
     """The sweep's work against the bits that the cap is checked on.
@@ -1051,9 +1111,9 @@ def _assert_sweep_work_within_cap_bits(g):
     m, n = g.edge_count, g.vertex_count
     assert sum(1 << len(s.one_open) for s in enumerate_tripartitions(g)) == 4 ** m
     table = TripartitionTable.build(g)
-    assert sum(1 << len(domain) for _, domain in table.rows) <= 4 ** m
-    assert sum(1 << (len(domain) + table.contractions[c][0])
-               for c, domain in table.rows) <= 1 << (2 * m + n)
+    assert sum(1 << len(domain) for _, domain, _, _ in table.rows) <= 4 ** m
+    assert sum(1 << (len(domain) + table.contractions[mask][0])
+               for mask, domain, _, _ in table.rows) <= 1 << (2 * m + n)
 
 
 class TestCapBound:
@@ -1062,7 +1122,7 @@ class TestCapBound:
         def no_build(*args, **kwargs):
             raise AssertionError("built before the cap was checked")
 
-        for module, name in ((bunkbed.tripartitions, "enumerate_tripartitions"),
+        for module, name in ((TripartitionTable, "build"),
                              (bunkbed.tripartitions, "_item_lanes"),
                              (bunkbed.enumeration, "_item_lanes"),
                              (bunkbed.enumeration, "_frontier_counts"),
